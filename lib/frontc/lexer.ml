@@ -8,22 +8,6 @@ type token =
 
 exception Lex_error of int * string
 
-let keywords =
-  [
-    "char"; "short"; "int"; "long"; "unsigned"; "float"; "double"; "void";
-    "if"; "else"; "while"; "do"; "for"; "return"; "break"; "continue";
-    "register";
-  ]
-
-(* longest first so that the scan below can match greedily *)
-let puncts =
-  [
-    "<<="; ">>="; "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-=";
-    "*="; "/="; "%="; "&="; "|="; "^="; "<<"; ">>"; "+"; "-"; "*"; "/"; "%";
-    "&"; "|"; "^"; "~"; "!"; "<"; ">"; "="; "("; ")"; "{"; "}"; "["; "]";
-    ";"; ","; "?"; ":";
-  ]
-
 type t = {
   src : string;
   mutable pos : int;
@@ -36,6 +20,7 @@ let error t fmt = Fmt.kstr (fun s -> raise (Lex_error (t.line, s))) fmt
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_alnum c = is_alpha c || is_digit c
 
 let rec skip_ws t =
   if t.pos < String.length t.src then
@@ -65,70 +50,130 @@ let rec skip_ws t =
       skip_ws t
     | _ -> ()
 
+(* Keywords resolve with one string match; the returned tokens are
+   static constants, so no keyword or punctuator allocates. *)
+let word = function
+  | "char" -> KW "char"
+  | "short" -> KW "short"
+  | "int" -> KW "int"
+  | "long" -> KW "long"
+  | "unsigned" -> KW "unsigned"
+  | "float" -> KW "float"
+  | "double" -> KW "double"
+  | "void" -> KW "void"
+  | "if" -> KW "if"
+  | "else" -> KW "else"
+  | "while" -> KW "while"
+  | "do" -> KW "do"
+  | "for" -> KW "for"
+  | "return" -> KW "return"
+  | "break" -> KW "break"
+  | "continue" -> KW "continue"
+  | "register" -> KW "register"
+  | s -> IDENT s
+
+let char_at t k =
+  if t.pos + k < String.length t.src then t.src.[t.pos + k] else '\000'
+
+let take t n tok =
+  t.pos <- t.pos + n;
+  tok
+
+(* Punctuators dispatch on their first two or three characters, longest
+   match first (maximal munch): [a+++b] is [a ++ + b]. *)
+let punct t c =
+  match (c, char_at t 1) with
+  | '<', '<' ->
+    if char_at t 2 = '=' then take t 3 (PUNCT "<<=") else take t 2 (PUNCT "<<")
+  | '>', '>' ->
+    if char_at t 2 = '=' then take t 3 (PUNCT ">>=") else take t 2 (PUNCT ">>")
+  | '=', '=' -> take t 2 (PUNCT "==")
+  | '!', '=' -> take t 2 (PUNCT "!=")
+  | '<', '=' -> take t 2 (PUNCT "<=")
+  | '>', '=' -> take t 2 (PUNCT ">=")
+  | '&', '&' -> take t 2 (PUNCT "&&")
+  | '|', '|' -> take t 2 (PUNCT "||")
+  | '+', '+' -> take t 2 (PUNCT "++")
+  | '-', '-' -> take t 2 (PUNCT "--")
+  | '+', '=' -> take t 2 (PUNCT "+=")
+  | '-', '=' -> take t 2 (PUNCT "-=")
+  | '*', '=' -> take t 2 (PUNCT "*=")
+  | '/', '=' -> take t 2 (PUNCT "/=")
+  | '%', '=' -> take t 2 (PUNCT "%=")
+  | '&', '=' -> take t 2 (PUNCT "&=")
+  | '|', '=' -> take t 2 (PUNCT "|=")
+  | '^', '=' -> take t 2 (PUNCT "^=")
+  | '+', _ -> take t 1 (PUNCT "+")
+  | '-', _ -> take t 1 (PUNCT "-")
+  | '*', _ -> take t 1 (PUNCT "*")
+  | '/', _ -> take t 1 (PUNCT "/")
+  | '%', _ -> take t 1 (PUNCT "%")
+  | '&', _ -> take t 1 (PUNCT "&")
+  | '|', _ -> take t 1 (PUNCT "|")
+  | '^', _ -> take t 1 (PUNCT "^")
+  | '~', _ -> take t 1 (PUNCT "~")
+  | '!', _ -> take t 1 (PUNCT "!")
+  | '<', _ -> take t 1 (PUNCT "<")
+  | '>', _ -> take t 1 (PUNCT ">")
+  | '=', _ -> take t 1 (PUNCT "=")
+  | '(', _ -> take t 1 (PUNCT "(")
+  | ')', _ -> take t 1 (PUNCT ")")
+  | '{', _ -> take t 1 (PUNCT "{")
+  | '}', _ -> take t 1 (PUNCT "}")
+  | '[', _ -> take t 1 (PUNCT "[")
+  | ']', _ -> take t 1 (PUNCT "]")
+  | ';', _ -> take t 1 (PUNCT ";")
+  | ',', _ -> take t 1 (PUNCT ",")
+  | '?', _ -> take t 1 (PUNCT "?")
+  | ':', _ -> take t 1 (PUNCT ":")
+  | _ -> error t "unexpected character %c" c
+
+let is_hex c =
+  is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+
+let skip t p =
+  while t.pos < String.length t.src && p t.src.[t.pos] do
+    t.pos <- t.pos + 1
+  done
+
+(* Decimal literals up to 2^63-1 and hexadecimal ones up to 2^64-1
+   (wrapping, as in C); anything wider is a lexical error. *)
+let int_literal t s =
+  match Int64.of_string s with
+  | n -> INT n
+  | exception Failure _ -> error t "integer literal out of range"
+
+let number t =
+  let start = t.pos in
+  skip t is_digit;
+  let c = char_at t 0 in
+  if (c = 'x' || c = 'X') && t.pos = start + 1 && t.src.[start] = '0' then begin
+    t.pos <- t.pos + 1;
+    let hstart = t.pos in
+    skip t is_hex;
+    if hstart = t.pos then error t "bad hex literal";
+    int_literal t ("0x" ^ String.sub t.src hstart (t.pos - hstart))
+  end
+  else if c = '.' then begin
+    t.pos <- t.pos + 1;
+    skip t is_digit;
+    FLOAT (float_of_string (String.sub t.src start (t.pos - start)))
+  end
+  else int_literal t (String.sub t.src start (t.pos - start))
+
 let scan t =
   skip_ws t;
   t.tok_line <- t.line;
   if t.pos >= String.length t.src then EOF
   else
     let c = t.src.[t.pos] in
-    if is_digit c then begin
-      let start = t.pos in
-      while t.pos < String.length t.src && is_digit t.src.[t.pos] do
-        t.pos <- t.pos + 1
-      done;
-      (* hexadecimal *)
-      if
-        t.pos < String.length t.src
-        && (t.src.[t.pos] = 'x' || t.src.[t.pos] = 'X')
-        && t.pos = start + 1
-        && t.src.[start] = '0'
-      then begin
-        t.pos <- t.pos + 1;
-        let hstart = t.pos in
-        while
-          t.pos < String.length t.src
-          && (is_digit t.src.[t.pos]
-             || (Char.lowercase_ascii t.src.[t.pos] >= 'a'
-                && Char.lowercase_ascii t.src.[t.pos] <= 'f'))
-        do
-          t.pos <- t.pos + 1
-        done;
-        if hstart = t.pos then error t "bad hex literal";
-        INT (Int64.of_string ("0x" ^ String.sub t.src hstart (t.pos - hstart)))
-      end
-      else if t.pos < String.length t.src && t.src.[t.pos] = '.' then begin
-        t.pos <- t.pos + 1;
-        while t.pos < String.length t.src && is_digit t.src.[t.pos] do
-          t.pos <- t.pos + 1
-        done;
-        FLOAT (float_of_string (String.sub t.src start (t.pos - start)))
-      end
-      else INT (Int64.of_string (String.sub t.src start (t.pos - start)))
-    end
+    if is_digit c then number t
     else if is_alpha c then begin
       let start = t.pos in
-      while
-        t.pos < String.length t.src
-        && (is_alpha t.src.[t.pos] || is_digit t.src.[t.pos])
-      do
-        t.pos <- t.pos + 1
-      done;
-      let word = String.sub t.src start (t.pos - start) in
-      if List.mem word keywords then KW word else IDENT word
+      skip t is_alnum;
+      word (String.sub t.src start (t.pos - start))
     end
-    else begin
-      match
-        List.find_opt
-          (fun p ->
-            let n = String.length p in
-            t.pos + n <= String.length t.src && String.sub t.src t.pos n = p)
-          puncts
-      with
-      | Some p ->
-        t.pos <- t.pos + String.length p;
-        PUNCT p
-      | None -> error t "unexpected character %c" c
-    end
+    else punct t c
 
 let create src =
   let t = { src; pos = 0; line = 1; tok = EOF; tok_line = 1 } in

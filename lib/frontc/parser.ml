@@ -5,20 +5,22 @@ exception Parse_error of int * string
 let error lx fmt =
   Fmt.kstr (fun s -> raise (Parse_error (Lexer.line lx, s))) fmt
 
-let expect lx (tok : Lexer.token) =
+let is_punct lx p =
+  match Lexer.peek lx with Lexer.PUNCT q -> String.equal p q | _ -> false
+
+let expect_punct lx p =
   let line = Lexer.line lx in
-  let got = Lexer.next lx in
-  if got <> tok then
+  match Lexer.next lx with
+  | Lexer.PUNCT q when String.equal p q -> ()
+  | got ->
     raise
       (Parse_error
          ( line,
-           Fmt.str "expected %a but found %a" Lexer.pp_token tok Lexer.pp_token
-             got ))
-
-let expect_punct lx p = expect lx (Lexer.PUNCT p)
+           Fmt.str "expected %a but found %a" Lexer.pp_token (Lexer.PUNCT p)
+             Lexer.pp_token got ))
 
 let accept_punct lx p =
-  if Lexer.peek lx = Lexer.PUNCT p then begin
+  if is_punct lx p then begin
     ignore (Lexer.next lx);
     true
   end
@@ -89,17 +91,40 @@ let parse_declarator lx base =
 
 (* -- expressions ------------------------------------------------------------ *)
 
-let binop_of_punct = function
-  | "+" -> Some Badd
-  | "-" -> Some Bsub
-  | "*" -> Some Bmul
-  | "/" -> Some Bdiv
-  | "%" -> Some Bmod
-  | "&" -> Some Band
-  | "|" -> Some Bor
-  | "^" -> Some Bxor
-  | "<<" -> Some Bshl
-  | ">>" -> Some Bshr
+(* Binary operators by precedence, loosest first; every level is
+   left-associative. *)
+let binary = function
+  | "||" -> Some (Blor, 1)
+  | "&&" -> Some (Bland, 2)
+  | "|" -> Some (Bor, 3)
+  | "^" -> Some (Bxor, 4)
+  | "&" -> Some (Band, 5)
+  | "==" -> Some (Beq, 6)
+  | "!=" -> Some (Bne, 6)
+  | "<" -> Some (Blt, 7)
+  | "<=" -> Some (Ble, 7)
+  | ">" -> Some (Bgt, 7)
+  | ">=" -> Some (Bge, 7)
+  | "<<" -> Some (Bshl, 8)
+  | ">>" -> Some (Bshr, 8)
+  | "+" -> Some (Badd, 9)
+  | "-" -> Some (Bsub, 9)
+  | "*" -> Some (Bmul, 10)
+  | "/" -> Some (Bdiv, 10)
+  | "%" -> Some (Bmod, 10)
+  | _ -> None
+
+let compound_assign = function
+  | "+=" -> Some Badd
+  | "-=" -> Some Bsub
+  | "*=" -> Some Bmul
+  | "/=" -> Some Bdiv
+  | "%=" -> Some Bmod
+  | "&=" -> Some Band
+  | "|=" -> Some Bor
+  | "^=" -> Some Bxor
+  | "<<=" -> Some Bshl
+  | ">>=" -> Some Bshr
   | _ -> None
 
 let rec parse_expr_top lx = parse_assignment lx
@@ -110,17 +135,16 @@ and parse_assignment lx =
   | Lexer.PUNCT "=" ->
     ignore (Lexer.next lx);
     Eassign (lhs, parse_assignment lx)
-  | Lexer.PUNCT p
-    when String.length p >= 2
-         && p.[String.length p - 1] = '='
-         && binop_of_punct (String.sub p 0 (String.length p - 1)) <> None ->
-    ignore (Lexer.next lx);
-    let op = Option.get (binop_of_punct (String.sub p 0 (String.length p - 1))) in
-    Eopassign (op, lhs, parse_assignment lx)
+  | Lexer.PUNCT p -> (
+    match compound_assign p with
+    | Some op ->
+      ignore (Lexer.next lx);
+      Eopassign (op, lhs, parse_assignment lx)
+    | None -> lhs)
   | _ -> lhs
 
 and parse_cond lx =
-  let c = parse_lor lx in
+  let c = parse_binary lx 1 in
   if accept_punct lx "?" then begin
     let a = parse_expr_top lx in
     expect_punct lx ":";
@@ -129,110 +153,17 @@ and parse_cond lx =
   end
   else c
 
-and parse_lor lx =
-  let rec go acc =
-    if accept_punct lx "||" then go (Ebin (Blor, acc, parse_land lx)) else acc
-  in
-  go (parse_land lx)
-
-and parse_land lx =
-  let rec go acc =
-    if accept_punct lx "&&" then go (Ebin (Bland, acc, parse_bitor lx))
-    else acc
-  in
-  go (parse_bitor lx)
-
-and parse_bitor lx =
-  let rec go acc =
-    if accept_punct lx "|" then go (Ebin (Bor, acc, parse_bitxor lx)) else acc
-  in
-  go (parse_bitxor lx)
-
-and parse_bitxor lx =
-  let rec go acc =
-    if accept_punct lx "^" then go (Ebin (Bxor, acc, parse_bitand lx))
-    else acc
-  in
-  go (parse_bitand lx)
-
-and parse_bitand lx =
-  let rec go acc =
-    if accept_punct lx "&" then go (Ebin (Band, acc, parse_equality lx))
-    else acc
-  in
-  go (parse_equality lx)
-
-and parse_equality lx =
-  let rec go acc =
+(* precedence climbing: operands bind operators of precedence >= [min] *)
+and parse_binary lx min =
+  let rec go lhs =
     match Lexer.peek lx with
-    | Lexer.PUNCT "==" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Beq, acc, parse_relational lx))
-    | Lexer.PUNCT "!=" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Bne, acc, parse_relational lx))
-    | _ -> acc
-  in
-  go (parse_relational lx)
-
-and parse_relational lx =
-  let rec go acc =
-    match Lexer.peek lx with
-    | Lexer.PUNCT "<" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Blt, acc, parse_shift lx))
-    | Lexer.PUNCT "<=" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Ble, acc, parse_shift lx))
-    | Lexer.PUNCT ">" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Bgt, acc, parse_shift lx))
-    | Lexer.PUNCT ">=" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Bge, acc, parse_shift lx))
-    | _ -> acc
-  in
-  go (parse_shift lx)
-
-and parse_shift lx =
-  let rec go acc =
-    match Lexer.peek lx with
-    | Lexer.PUNCT "<<" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Bshl, acc, parse_additive lx))
-    | Lexer.PUNCT ">>" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Bshr, acc, parse_additive lx))
-    | _ -> acc
-  in
-  go (parse_additive lx)
-
-and parse_additive lx =
-  let rec go acc =
-    match Lexer.peek lx with
-    | Lexer.PUNCT "+" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Badd, acc, parse_multiplicative lx))
-    | Lexer.PUNCT "-" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Bsub, acc, parse_multiplicative lx))
-    | _ -> acc
-  in
-  go (parse_multiplicative lx)
-
-and parse_multiplicative lx =
-  let rec go acc =
-    match Lexer.peek lx with
-    | Lexer.PUNCT "*" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Bmul, acc, parse_unary lx))
-    | Lexer.PUNCT "/" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Bdiv, acc, parse_unary lx))
-    | Lexer.PUNCT "%" ->
-      ignore (Lexer.next lx);
-      go (Ebin (Bmod, acc, parse_unary lx))
-    | _ -> acc
+    | Lexer.PUNCT p -> (
+      match binary p with
+      | Some (op, prec) when prec >= min ->
+        ignore (Lexer.next lx);
+        go (Ebin (op, lhs, parse_binary lx (prec + 1)))
+      | _ -> lhs)
+    | _ -> lhs
   in
   go (parse_unary lx)
 
@@ -287,7 +218,7 @@ and parse_primary lx =
   | Lexer.IDENT name ->
     if accept_punct lx "(" then begin
       let args =
-        if Lexer.peek lx = Lexer.PUNCT ")" then []
+        if is_punct lx ")" then []
         else
           let rec go acc =
             let e = parse_assignment lx in
@@ -342,11 +273,11 @@ and parse_stmt_unmarked lx locals : stmt list =
     expect_punct lx ")";
     let then_ = parse_stmt lx locals in
     let else_ =
-      if Lexer.peek lx = Lexer.KW "else" then begin
+      match Lexer.peek lx with
+      | Lexer.KW "else" ->
         ignore (Lexer.next lx);
         parse_stmt lx locals
-      end
-      else []
+      | _ -> []
     in
     [ Sif (cond, then_, else_) ]
   | Lexer.KW "while" ->
@@ -370,22 +301,22 @@ and parse_stmt_unmarked lx locals : stmt list =
     ignore (Lexer.next lx);
     expect_punct lx "(";
     let init =
-      if Lexer.peek lx = Lexer.PUNCT ";" then None else Some (parse_expr_top lx)
+      if is_punct lx ";" then None else Some (parse_expr_top lx)
     in
     expect_punct lx ";";
     let cond =
-      if Lexer.peek lx = Lexer.PUNCT ";" then None else Some (parse_expr_top lx)
+      if is_punct lx ";" then None else Some (parse_expr_top lx)
     in
     expect_punct lx ";";
     let step =
-      if Lexer.peek lx = Lexer.PUNCT ")" then None else Some (parse_expr_top lx)
+      if is_punct lx ")" then None else Some (parse_expr_top lx)
     in
     expect_punct lx ")";
     [ Sfor (init, cond, step, parse_stmt lx locals) ]
   | Lexer.KW "return" ->
     ignore (Lexer.next lx);
     let e =
-      if Lexer.peek lx = Lexer.PUNCT ";" then None else Some (parse_expr_top lx)
+      if is_punct lx ";" then None else Some (parse_expr_top lx)
     in
     expect_punct lx ";";
     [ Sreturn e ]
@@ -444,10 +375,10 @@ let parse_program src =
     | _ ->
       let base = parse_base_type lx in
       let name, ty = parse_declarator lx base in
-      if Lexer.peek lx = Lexer.PUNCT "(" then begin
+      if is_punct lx "(" then begin
         ignore (Lexer.next lx);
         let params =
-          if Lexer.peek lx = Lexer.PUNCT ")" then []
+          if is_punct lx ")" then []
           else
             let rec go acc =
               let pbase = parse_base_type lx in

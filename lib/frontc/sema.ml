@@ -558,6 +558,16 @@ and assign_to_scratch fc tree =
 
 let align n a = (n + a - 1) / a * a
 
+(* An array object needs at least one element, and its byte size must
+   fit the 32-bit frame offsets and [.comm] sizes the targets emit. *)
+let check_object name = function
+  | Tarray (elt, n) ->
+    if n < 1 then error "array %s has dimension %d, must be at least 1" name n;
+    if n > 0x7fffffff / sizeof elt then
+      error "array %s is too large: %d elements of %d bytes" name n
+        (sizeof elt)
+  | _ -> ()
+
 let lower_func env (f : Ast.func) : Tree.func =
   let saved_vars = Hashtbl.copy env.vars in
   (* float parameters arrive as doubles (K&R) *)
@@ -584,6 +594,7 @@ let lower_func env (f : Ast.func) : Tree.func =
   let reg_pool = ref [ 11; 10 ] in
   List.iter
     (fun (name, cty, storage) ->
+      check_object name cty;
       let as_local () =
         let size = sizeof cty in
         let a = if size >= 8 then 8 else if size >= 4 then 4 else size in
@@ -621,6 +632,7 @@ let lower_program (decls : Ast.program) : Tree.program =
       match d with
       | Dglobal (name, cty) ->
         if Hashtbl.mem env.vars name then error "duplicate global %s" name;
+        check_object name cty;
         Hashtbl.replace env.vars name (Vglobal cty)
       | Dfunc f ->
         if Hashtbl.mem env.funcs f.fname then

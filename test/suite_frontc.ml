@@ -47,6 +47,120 @@ let test_lexer_error () =
       | exception Lexer.Lex_error (1, _) -> ()
       | _ -> Alcotest.fail "@ accepted"))
 
+let drain_tokens src =
+  let lx = Lexer.create src in
+  let rec go acc =
+    match Lexer.next lx with Lexer.EOF -> List.rev acc | t -> go (t :: acc)
+  in
+  go []
+
+let tokens = Alcotest.testable Fmt.(list ~sep:sp Lexer.pp_token) ( = )
+
+let c_keywords =
+  [
+    "char"; "short"; "int"; "long"; "unsigned"; "float"; "double"; "void";
+    "if"; "else"; "while"; "do"; "for"; "return"; "break"; "continue";
+    "register";
+  ]
+
+let c_puncts =
+  [
+    "<<="; ">>="; "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-=";
+    "*="; "/="; "%="; "&="; "|="; "^="; "<<"; ">>"; "+"; "-"; "*"; "/"; "%";
+    "&"; "|"; "^"; "~"; "!"; "<"; ">"; "="; "("; ")"; "{"; "}"; "["; "]";
+    ";"; ","; "?"; ":";
+  ]
+
+(* Reference maximal munch over punctuators only: at each position take
+   the longest punctuator that is a prefix, after the comment openers
+   the lexer gives priority to.  [None] is a lexical error (an
+   unterminated block comment). *)
+let munch s =
+  let n = String.length s in
+  let prefix_at i p =
+    i + String.length p <= n && String.sub s i (String.length p) = p
+  in
+  let rec go i acc =
+    if i >= n then Some (List.rev acc)
+    else if prefix_at i "/*" then None
+    else if prefix_at i "//" then Some (List.rev acc)
+    else
+      let p =
+        List.fold_left
+          (fun best p ->
+            if prefix_at i p && String.length p > String.length best then p
+            else best)
+          "" c_puncts
+      in
+      go (i + String.length p) (Lexer.PUNCT p :: acc)
+  in
+  go 0 []
+
+let test_lexer_every_token () =
+  List.iter
+    (fun k ->
+      Alcotest.check tokens k [ Lexer.KW k ] (drain_tokens k);
+      (* a keyword is only a keyword as a whole word *)
+      Alcotest.check tokens (k ^ "_1") [ Lexer.IDENT (k ^ "_1") ]
+        (drain_tokens (k ^ "_1")))
+    c_keywords;
+  List.iter
+    (fun p -> Alcotest.check tokens p [ Lexer.PUNCT p ] (drain_tokens p))
+    c_puncts;
+  List.iter
+    (fun p ->
+      List.iter
+        (fun q ->
+          let s = p ^ q in
+          let got =
+            match drain_tokens s with
+            | toks -> Some toks
+            | exception Lexer.Lex_error (1, _) -> None
+          in
+          Alcotest.(check (option tokens)) s (munch s) got)
+        c_puncts)
+    c_puncts;
+  let id x = Lexer.IDENT x and op p = Lexer.PUNCT p in
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.check tokens src expected (drain_tokens src))
+    [
+      ("a+++b", [ id "a"; op "++"; op "+"; id "b" ]);
+      ("x<<=y", [ id "x"; op "<<="; id "y" ]);
+      ("a-->b", [ id "a"; op "--"; op ">"; id "b" ]);
+      ("a&&&b", [ id "a"; op "&&"; op "&"; id "b" ]);
+      ("a<<<b", [ id "a"; op "<<"; op "<"; id "b" ]);
+      ("x>>>=y", [ id "x"; op ">>"; op ">="; id "y" ]);
+      ("a!==b", [ id "a"; op "!="; op "="; id "b" ]);
+      ("a/ /b", [ id "a"; op "/"; op "/"; id "b" ]);
+      ("a//b\n-c", [ id "a"; op "-"; id "c" ]);
+    ]
+
+let test_lexer_integer_range () =
+  List.iter
+    (fun (src, n) ->
+      Alcotest.check tokens src [ Lexer.INT n ] (drain_tokens src))
+    [
+      ("9223372036854775807", Int64.max_int);
+      ("0x7fffffffffffffff", Int64.max_int);
+      ("0x8000000000000000", Int64.min_int);
+      ("0xffffffffffffffff", -1L);
+      ("0X00000000000000000000ff", 255L);
+      ("000000000000000000000042", 42L);
+    ];
+  List.iter
+    (fun lit ->
+      let src = "int main() {\n  return " ^ lit ^ ";\n}" in
+      match Parser.parse_program src with
+      | exception Lexer.Lex_error (line, m) ->
+        check_int (lit ^ " line") 2 line;
+        Alcotest.(check string) lit "integer literal out of range" m
+      | _ -> Alcotest.failf "%s accepted" lit)
+    [
+      "99999999999999999999"; "9223372036854775808"; "0x10000000000000000";
+      "0xffffffffffffffff0";
+    ]
+
 (* -- parser ----------------------------------------------------------------- *)
 
 let test_parser_precedence () =
@@ -104,6 +218,93 @@ let test_parser_error_reports_line () =
   | exception Parser.Parse_error (2, _) -> ()
   | exception Parser.Parse_error (n, _) -> Alcotest.failf "wrong line %d" n
   | _ -> Alcotest.fail "junk accepted"
+
+(* C's binary operators by precedence row, tightest first, every row
+   left-associative, written out independently of the parser's table. *)
+let c_binary_rows =
+  Ast.
+    [
+      [ ("*", Bmul); ("/", Bdiv); ("%", Bmod) ];
+      [ ("+", Badd); ("-", Bsub) ];
+      [ ("<<", Bshl); (">>", Bshr) ];
+      [ ("<", Blt); ("<=", Ble); (">", Bgt); (">=", Bge) ];
+      [ ("==", Beq); ("!=", Bne) ];
+      [ ("&", Band) ];
+      [ ("^", Bxor) ];
+      [ ("|", Bor) ];
+      [ ("&&", Bland) ];
+      [ ("||", Blor) ];
+    ]
+
+let expr = Alcotest.testable (fun ppf _ -> Fmt.string ppf "<expr>") ( = )
+
+let test_parser_binary_pairs () =
+  let ops =
+    List.concat
+      (List.mapi (fun row ops -> List.map (fun (p, b) -> (p, b, row)) ops)
+         c_binary_rows)
+  in
+  check_int "operators" 18 (List.length ops);
+  let a = Ast.Evar "a" and b = Ast.Evar "b" and c = Ast.Evar "c" in
+  List.iter
+    (fun (p1, b1, row1) ->
+      List.iter
+        (fun (p2, b2, row2) ->
+          let src = Fmt.str "a %s b %s c" p1 p2 in
+          let expected =
+            if row1 <= row2 then Ast.Ebin (b2, Ast.Ebin (b1, a, b), c)
+            else Ast.Ebin (b1, a, Ast.Ebin (b2, b, c))
+          in
+          Alcotest.check expr src expected (Parser.parse_expr src))
+        ops)
+    ops
+
+(* Parse outcomes of the random corpus and of truncated and byte-mutated
+   copies of it: the AST, or the error's kind, line and message.  The
+   digest was recorded with the earlier list-scanning lexer and the
+   one-function-per-level expression parser; a front end that parses
+   any of these inputs differently changes it. *)
+let test_parser_golden_outcomes () =
+  let outcome src =
+    match Parser.parse_program src with
+    | ast -> "ok " ^ Marshal.to_string ast [ Marshal.No_sharing ]
+    | exception Lexer.Lex_error (l, m) -> Fmt.str "lex %d %s" l m
+    | exception Parser.Parse_error (l, m) -> Fmt.str "parse %d %s" l m
+    | exception e -> "exn " ^ Printexc.to_string e
+  in
+  let bytes = "+-*/%&|^<>=!~?:;,(){}[]0123456789xX.aZ_ \n\t@#$'\"\\" in
+  let inputs seed =
+    let src = Corpus.random_source ~seed ~functions:2 ~stmts_per_function:6 in
+    let n = String.length src in
+    let truncate k = String.sub src 0 (n * k / 6) in
+    let mutate k =
+      let b = Bytes.of_string src in
+      Bytes.set b
+        ((seed * 7919 + (k * 104729)) mod n)
+        bytes.[(seed * 31 + (k * 17)) mod String.length bytes];
+      Bytes.to_string b
+    in
+    (src :: List.init 5 (fun k -> truncate (k + 1))) @ List.init 5 mutate
+  in
+  let digests = Buffer.create 4096 in
+  let kinds = Hashtbl.create 4 in
+  for seed = 0 to 500 do
+    List.iter
+      (fun src ->
+        let o = outcome src in
+        let kind = String.sub o 0 (String.index o ' ') in
+        Hashtbl.replace kinds kind
+          (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind));
+        Buffer.add_string digests (Digest.string o))
+      (inputs seed)
+  done;
+  let count k = Option.value ~default:0 (Hashtbl.find_opt kinds k) in
+  check_int "parsed" 1026 (count "ok");
+  check_int "lexical errors" 365 (count "lex");
+  check_int "syntax errors" 4120 (count "parse");
+  Alcotest.(check string)
+    "outcome digest" "cb58a3b4cbf07fbb0ca4a9f42f3db35a"
+    (Digest.to_hex (Digest.string (Buffer.contents digests)))
 
 (* -- sema / lowering ---------------------------------------------------------- *)
 
@@ -185,6 +386,23 @@ let test_sema_unsigned_ops () =
              false t
          | _ -> false)
        body)
+
+let test_sema_array_bounds () =
+  let expect_error name src =
+    match lower src with
+    | exception Sema.Semantic_error m ->
+      check_bool (src ^ " names " ^ name) true
+        (String.starts_with ~prefix:("array " ^ name ^ " ") m)
+    | _ -> Alcotest.failf "accepted: %s" src
+  in
+  expect_error "a" "int main() { int a[0]; a[0] = 1; return 0; }";
+  expect_error "g" "int g[0]; int main() { g[0] = 1; return 0; }";
+  expect_error "a" "int main() { int a[99999999999]; return 0; }";
+  expect_error "g" "int g[99999999999]; int main() { return 0; }";
+  expect_error "w" "int main() { int w[0xffffffffffffffff]; return 0; }";
+  expect_error "b" "int b[536870912]; int main() { return 0; }";
+  (* the largest object that fits is still accepted *)
+  ignore (lower "char c[2147483647]; int main() { return 0; }")
 
 let test_sema_errors () =
   let expect_error src =
@@ -371,6 +589,9 @@ let suite =
     Alcotest.test_case "lexer tokens" `Quick test_lexer_tokens;
     Alcotest.test_case "lexer longest match" `Quick test_lexer_longest_match;
     Alcotest.test_case "lexer error" `Quick test_lexer_error;
+    Alcotest.test_case "lexer every token and pair" `Quick
+      test_lexer_every_token;
+    Alcotest.test_case "lexer integer range" `Quick test_lexer_integer_range;
     Alcotest.test_case "parser precedence" `Quick test_parser_precedence;
     Alcotest.test_case "assignment right-assoc" `Quick
       test_parser_assoc_right_assign;
@@ -379,6 +600,9 @@ let suite =
     Alcotest.test_case "cast" `Quick test_parser_cast;
     Alcotest.test_case "program shapes" `Quick test_parser_program_shapes;
     Alcotest.test_case "parse error line" `Quick test_parser_error_reports_line;
+    Alcotest.test_case "binary operator pairs" `Quick test_parser_binary_pairs;
+    Alcotest.test_case "golden parse outcomes" `Quick
+      test_parser_golden_outcomes;
     Alcotest.test_case "local addressing shape" `Quick
       test_sema_local_addressing;
     Alcotest.test_case "param addressing shape" `Quick
@@ -387,6 +611,7 @@ let suite =
     Alcotest.test_case "char promotion" `Quick test_sema_char_promotion;
     Alcotest.test_case "unsigned operators" `Quick test_sema_unsigned_ops;
     Alcotest.test_case "semantic errors" `Quick test_sema_errors;
+    Alcotest.test_case "array dimension bounds" `Quick test_sema_array_bounds;
     Alcotest.test_case "control flow" `Quick test_exec_controlflow;
     Alcotest.test_case "short-circuit side effects" `Quick
       test_exec_short_circuit_effects;

@@ -417,6 +417,37 @@ let test_e2e_error_parity () =
   expect "int main() { return; } }" Protocol.Parse;
   expect "int main() { return nope; }" Protocol.Semantic
 
+(* Front-end rejections are the client's fault, not a crash: an
+   out-of-range literal or an impossible array comes back typed, and
+   the crash barrier writes no flight dump for them. *)
+let test_e2e_frontend_limits_not_internal () =
+  let dump = fresh_socket () ^ ".flight.json" in
+  (* one worker: each request, crash dump included, is finished before
+     the next one is taken *)
+  with_server ~workers:1 ~crash_dump:dump @@ fun socket _t ->
+  Fun.protect ~finally:(fun () -> try Sys.remove dump with Sys_error _ -> ())
+  @@ fun () ->
+  let expect src kind msg =
+    match Client.compile ~socket (Protocol.request src) with
+    | Protocol.Error (k, m) when k = kind ->
+      Alcotest.(check string) src msg m
+    | Protocol.Error (k, m) ->
+      Alcotest.failf "%s: expected %a, got %a: %s" src Protocol.pp_error_kind
+        kind Protocol.pp_error_kind k m
+    | _ -> Alcotest.failf "%s: expected an error response" src
+  in
+  expect "int main() {\n  return 99999999999999999999;\n}" Protocol.Lex
+    "lexical error, line 2: integer literal out of range";
+  expect "int main() { return 9223372036854775808; }" Protocol.Lex
+    "lexical error, line 1: integer literal out of range";
+  expect "int main() { int a[0]; return 0; }" Protocol.Semantic
+    "array a has dimension 0, must be at least 1";
+  expect "int g[99999999999]; int main() { return 0; }" Protocol.Semantic
+    "array g is too large: 99999999999 elements of 4 bytes";
+  let ok = Protocol.request "int main() { return 0; }" in
+  ignore (expect_asm (Client.compile ~socket ok));
+  Alcotest.(check bool) "no crash dump" false (Sys.file_exists dump)
+
 let test_e2e_crash_barrier_keeps_serving () =
   with_server @@ fun socket t ->
   let src = "int main() { return 7; }" in
@@ -1089,4 +1120,6 @@ let suite =
       test_e2e_graceful_stop;
     Alcotest.test_case "start refuses a socket with a live server" `Quick
       test_start_refuses_live_socket;
+    Alcotest.test_case "e2e: frontend limits are not crashes" `Quick
+      test_e2e_frontend_limits_not_internal;
   ]
