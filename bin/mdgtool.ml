@@ -59,8 +59,25 @@ let conflicts o =
   let t = Tables.build (Grammar_def.grammar o) in
   Fmt.pr "%a@." Tables.pp_stats (Tables.stats t)
 
-let chains o =
-  let g = Grammar_def.grammar o in
+let target_of_name name =
+  match Gg_targets.Targets.of_string name with
+  | Some t -> t
+  | None ->
+    Fmt.epr "error: unknown target %s@." name;
+    exit 1
+
+(* a target's machine-description grammar and tree language *)
+let description target_name o =
+  match target_of_name target_name with
+  | Gg_codegen.Backend.Vax -> (Grammar_def.grammar o, Grammar_def.treelang o)
+  | Gg_codegen.Backend.Risc ->
+    (Gg_risc.Grammar_def.grammar o, Gg_risc.Grammar_def.treelang o)
+
+(* The paper's static promises (section 6.3): the matcher never loops on
+   chain rules and never blocks on a legal tree.  Both reports exit 1
+   when a promise is broken, so CI can gate on them. *)
+let chains o target_name =
+  let g, _ = description target_name o in
   let report = Checks.chains g in
   Fmt.pr "silent chain cycles: %d@." (List.length report.Checks.silent_cycles);
   List.iter
@@ -70,18 +87,19 @@ let chains o =
     (List.length report.Checks.emitting_cycles);
   List.iter
     (fun cyc -> Fmt.pr "  cycle: %a@." Fmt.(list ~sep:(any " -> ") string) cyc)
-    report.Checks.emitting_cycles
+    report.Checks.emitting_cycles;
+  if report.Checks.silent_cycles <> [] then exit 1
 
-let blocks o verbose =
-  let g = Grammar_def.grammar o in
+let blocks o target_name verbose =
+  let g, tl = description target_name o in
   let t = Tables.build g in
-  let tl = Grammar_def.treelang o in
   let bs = Checks.blocks t ~arity:tl.Treelang.arity ~starts:tl.Treelang.starts in
   Fmt.pr "potential syntactic blocks: %d@." (List.length bs);
   let shown = if verbose then bs else List.filteri (fun i _ -> i < 20) bs in
   List.iter (fun b -> Fmt.pr "%a@." Checks.pp_block b) shown;
   if (not verbose) && List.length bs > 20 then
-    Fmt.pr "... (%d more; use -v)@." (List.length bs - 20)
+    Fmt.pr "... (%d more; use -v)@." (List.length bs - 20);
+  if bs <> [] then exit 1
 
 let print_grammar o =
   let g = Grammar_def.grammar o in
@@ -227,13 +245,7 @@ let cache o dir clear profiles =
    the usage data Samuelsson-style table optimisation wants before
    reordering table rows. *)
 let heat o target_name top seeds json out verbose =
-  let target =
-    match Gg_targets.Targets.of_string target_name with
-    | Some t -> t
-    | None ->
-      Fmt.epr "error: unknown target %s@." target_name;
-      exit 1
-  in
+  let target = target_of_name target_name in
   Gg_profile.Profile.coverage_enabled := true;
   Gg_profile.Profile.reset_coverage ();
   let tables = Gg_targets.Targets.build_tables target o in
@@ -326,13 +338,7 @@ let heat o target_name top seeds json out verbose =
    by (target, grammar digest, profile digest) — or in --out FILE as a
    ggcg-tables-v3 file. *)
 let specialize o target_name profile_path coverage dir out =
-  let target =
-    match Gg_targets.Targets.of_string target_name with
-    | Some t -> t
-    | None ->
-      Fmt.epr "error: unknown target %s@." target_name;
-      exit 1
-  in
+  let target = target_of_name target_name in
   let profile =
     match Gg_specialize.Heat.load profile_path with
     | p -> p
@@ -558,6 +564,12 @@ let trace_merge_cmd traces out =
 let verbose_term =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Show all results.")
 
+let check_target_term =
+  Arg.(
+    value & opt string "vax"
+    & info [ "target" ] ~docv:"TARGET"
+        ~doc:"Check this target's machine description (vax or risc).")
+
 let cmd_of name doc term = Cmd.v (Cmd.info name ~doc) term
 
 let () =
@@ -567,10 +579,12 @@ let () =
         Term.(const stats $ opts_term);
       cmd_of "conflicts" "Conflict-resolution statistics."
         Term.(const conflicts $ opts_term);
-      cmd_of "chains" "Chain-production cycle report."
-        Term.(const chains $ opts_term);
-      cmd_of "blocks" "Potential syntactic blocks."
-        Term.(const blocks $ opts_term $ verbose_term);
+      cmd_of "chains"
+        "Chain-production cycle report; exits 1 on a silent cycle."
+        Term.(const chains $ opts_term $ check_target_term);
+      cmd_of "blocks"
+        "Potential syntactic blocks; exits 1 if there is any."
+        Term.(const blocks $ opts_term $ check_target_term $ verbose_term);
       cmd_of "print" "List all replicated productions."
         Term.(const print_grammar $ opts_term);
       cmd_of "export" "Write the VAX description in .mdg text format."

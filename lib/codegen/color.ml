@@ -126,6 +126,8 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
   let st_spilled = ref 0 in
   let st_stores = ref 0 in
   let st_reloads = ref 0 in
+  let bank_mask = List.fold_left (fun a p -> a lor (1 lsl p)) 0 bank in
+  let sorted_bank = List.sort compare bank in
   let result = ref None in
   let round = ref 0 in
   while !result = None do
@@ -149,12 +151,7 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
     in
     let members = Array.init nv (fun i -> [ i ]) in
     (* neighbour sets per class representative, over original node ids *)
-    let nbr =
-      Array.init nv (fun i ->
-          let b = Liveness.Bits.make nv in
-          List.iter (fun j -> Liveness.Bits.set b j) g.Interference.adj.(i);
-          b)
-    in
+    let nbr = Array.map Liveness.Bits.copy g.Interference.rows in
     let interferes_cls a b =
       List.exists (fun m -> Liveness.Bits.get nbr.(a) m) members.(b)
     in
@@ -168,7 +165,6 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
        registers never appear in a virtual-mode stream — so they do not
        shrink anyone's palette, only pin the move ends together. *)
     let pre = Array.make nv (-1) in
-    let bank_mask = List.fold_left (fun a p -> a lor (1 lsl p)) 0 bank in
     let color_bits r p =
       (1 lsl p)
       lor (if (!kinds).(r) = Regmgr.Vpair_base then 1 lsl (p + 1) else 0)
@@ -199,29 +195,29 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
        of width w kills at most w of them) *)
     let avail_colors r =
       let forbid = forbid_cls r in
-      let free p = List.mem p bank && forbid land (1 lsl p) = 0 in
+      let free p = (bank_mask land lnot forbid) land (1 lsl p) <> 0 in
       if (!kinds).(r) = Regmgr.Vpair_base then begin
         let k = ref 0 in
         let prev = ref (-2) in
         List.iter
           (fun p ->
-            if p > !prev + 1 && free p && free (p + 1) && List.mem (p + 1) bank
-            then begin
+            if p > !prev + 1 && free p && free (p + 1) then begin
               incr k;
               prev := p
             end)
-          (List.sort compare bank);
+          sorted_bank;
         !k
       end
-      else List.length (List.filter free bank)
+      else List.fold_left (fun k p -> if free p then k + 1 else k) 0 bank
     in
-    let deg_of r =
-      (* precolored neighbours hold colors outside the bank: they pin
-         registers but never shrink a node's palette *)
+    (* precolored neighbours hold colors outside the bank: they pin
+       registers but never shrink a node's palette *)
+    let degree classes =
       List.fold_left
         (fun a c -> if pre.(c) >= 0 then a else a + width c)
-        0 (neighbor_classes r)
+        0 classes
     in
+    let deg_of r = degree (neighbor_classes r) in
     let briggs_ok a b =
       let k =
         (* conservative: colors available to the merged class *)
@@ -299,53 +295,74 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
         | false, false -> ())
       g.Interference.moves;
     (* -- simplify ------------------------------------------------------- *)
-    let reps =
-      List.filter
-        (fun i ->
+    (* The class graph is fixed from here on, so each representative's
+       neighbour classes, palette size and spill cost are computed once.
+       Its active degree (the widths of its neighbours still in the
+       graph; precolored ones never take a bank register away) is kept
+       up to date as classes are removed, and [low] holds exactly the
+       remaining classes whose degree is below their palette size. *)
+    let is_rep =
+      Array.init nv (fun i ->
           find i = i && (!kinds).(i) <> Regmgr.Vpair_second && pre.(i) < 0)
-        (List.init nv Fun.id)
+    in
+    let ncls =
+      Array.init nv (fun i -> if is_rep.(i) then neighbor_classes i else [])
+    in
+    let avail =
+      Array.init nv (fun i -> if is_rep.(i) then avail_colors i else 0)
+    in
+    let deg = Array.map degree ncls in
+    let weight =
+      Array.init nv (fun r ->
+          if not is_rep.(r) then 0.0
+          else if List.exists (fun m -> (!nospill).(m)) members.(r) then
+            infinity
+          else
+            List.fold_left
+              (fun a m -> a +. g.Interference.weight.(m))
+              0.0 members.(r))
     in
     let removed = Array.make nv false in
-    let active_deg r =
-      (* precolored neighbours, like removed ones, never take a bank
-         register away from [r] *)
-      List.fold_left
-        (fun a c -> if removed.(c) || pre.(c) >= 0 then a else a + width c)
-        0 (neighbor_classes r)
-    in
-    let weight_cls r =
-      if List.exists (fun m -> (!nospill).(m)) members.(r) then infinity
-      else List.fold_left (fun a m -> a +. g.Interference.weight.(m)) 0.0 members.(r)
-    in
+    let low = Liveness.Bits.make nv in
+    let remaining = ref 0 in
+    for r = 0 to nv - 1 do
+      if is_rep.(r) then begin
+        incr remaining;
+        if deg.(r) < avail.(r) then Liveness.Bits.set low r
+      end
+    done;
     let stack = ref [] in
-    let remaining = ref (List.length reps) in
+    let remove r =
+      removed.(r) <- true;
+      Liveness.Bits.clear low r;
+      stack := r :: !stack;
+      decr remaining;
+      List.iter
+        (fun c ->
+          if is_rep.(c) && not removed.(c) then begin
+            deg.(c) <- deg.(c) - width r;
+            if deg.(c) < avail.(c) then Liveness.Bits.set low c
+          end)
+        ncls.(r)
+    in
     while !remaining > 0 do
-      match
-        List.find_opt
-          (fun r -> (not removed.(r)) && active_deg r < avail_colors r)
-          reps
-      with
-      | Some r ->
-        removed.(r) <- true;
-        stack := r :: !stack;
-        decr remaining
-      | None ->
-        (* potential spill: cheapest cost per unit of pressure relieved *)
-        let best =
-          List.fold_left
-            (fun best r ->
-              if removed.(r) then best
-              else
-                let p = weight_cls r /. float_of_int (1 + active_deg r) in
-                match best with
-                | Some (_, bp) when bp <= p -> best
-                | _ -> Some (r, p))
-            None reps
-        in
-        let r, _ = Option.get best in
-        removed.(r) <- true;
-        stack := r :: !stack;
-        decr remaining
+      let r = Liveness.Bits.first low in
+      if r >= 0 then remove r
+      else begin
+        (* potential spill: cheapest cost per unit of pressure relieved,
+           lowest index on ties *)
+        let best = ref (-1) and best_p = ref infinity in
+        for r = 0 to nv - 1 do
+          if is_rep.(r) && not removed.(r) then begin
+            let p = weight.(r) /. float_of_int (1 + deg.(r)) in
+            if !best < 0 || p < !best_p then begin
+              best := r;
+              best_p := p
+            end
+          end
+        done;
+        remove !best
+      end
     done;
     (* -- select --------------------------------------------------------- *)
     let color = Array.make nv (-1) in
@@ -363,7 +380,7 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
               if (!kinds).(c) = Regmgr.Vpair_base then
                 used := !used lor (1 lsl (color.(c) + 1))
             end)
-          (neighbor_classes r);
+          ncls.(r);
         let free p = !used land (1 lsl p) = 0 in
         let pick =
           if (!kinds).(r) = Regmgr.Vpair_base then

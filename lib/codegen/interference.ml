@@ -9,9 +9,7 @@ open Import
    recorded as a forbidden-color bit instead. *)
 
 type t = {
-  nv : int;
-  adj : int list array;  (* distinct neighbours, most recent first *)
-  matrix : Bytes.t;  (* nv×nv bit matrix backing [adj] *)
+  rows : Liveness.Bits.t array;  (* per node, its neighbours (symmetric) *)
   forbid : int array;  (* bitmask of conflicting physical registers *)
   moves : (int * int * int) list;
       (* coalescable reg-to-reg moves in stream order:
@@ -22,23 +20,12 @@ type t = {
   occurrences : int array;  (* def/use sites per node *)
 }
 
-let interferes t a b =
-  a <> b
-  &&
-  let i = (a * t.nv) + b in
-  Char.code (Bytes.get t.matrix (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set_bit t a b =
-  let i = (a * t.nv) + b in
-  Bytes.set t.matrix (i lsr 3)
-    (Char.chr (Char.code (Bytes.get t.matrix (i lsr 3)) lor (1 lsl (i land 7))))
+let interferes t a b = a <> b && Liveness.Bits.get t.rows.(a) b
 
 let add_edge t a b =
-  if a <> b && not (interferes t a b) then begin
-    set_bit t a b;
-    set_bit t b a;
-    t.adj.(a) <- b :: t.adj.(a);
-    t.adj.(b) <- a :: t.adj.(b)
+  if a <> b then begin
+    Liveness.Bits.set t.rows.(a) b;
+    Liveness.Bits.set t.rows.(b) a
   end
 
 let rec pow10 n = if n <= 0 then 1.0 else 10.0 *. pow10 (n - 1)
@@ -74,9 +61,7 @@ let build ~(move_mnemonics : string list) ~(heat : (int * int) list)
   let nv = lv.Liveness.nnodes - Liveness.nphys in
   let t =
     {
-      nv;
-      adj = Array.make nv [];
-      matrix = Bytes.make (((nv * nv) + 7) / 8) '\000';
+      rows = Array.init nv (fun _ -> Liveness.Bits.make nv);
       forbid = Array.make nv 0;
       moves = [];
       weight = Array.make nv 0.0;
@@ -104,7 +89,7 @@ let build ~(move_mnemonics : string list) ~(heat : (int * int) list)
         let defs, uses = lv.Liveness.def_use.(i) in
         (* a coalescable move: plain reg to reg, at least one end
            virtual; a physical end must be a general register (never
-           ap/fp/sp/pc) *)
+           ap/fp/sp/pc).  [move_src] is its source node, else -1. *)
         let move_src =
           let ok_end r = r >= lv.Liveness.vbase || r < 12 in
           match lv.Liveness.insns.(i) with
@@ -114,8 +99,8 @@ let build ~(move_mnemonics : string list) ~(heat : (int * int) list)
                  && List.mem m move_mnemonics ->
             moves :=
               (i, Liveness.node_of lv a, Liveness.node_of lv b) :: !moves;
-            Some (Liveness.node_of lv a)
-          | _ -> None
+            Liveness.node_of lv a
+          | _ -> -1
         in
         (* spill-cost weight of this site *)
         let w =
@@ -135,7 +120,7 @@ let build ~(move_mnemonics : string list) ~(heat : (int * int) list)
         List.iter
           (fun dn ->
             Liveness.Bits.iter
-              (fun l -> if Some l <> move_src then conflict dn l)
+              (fun l -> if l <> move_src then conflict dn l)
               live;
             List.iter (fun dn' -> conflict dn dn') def_nodes)
           def_nodes;

@@ -6,9 +6,9 @@
     each site. *)
 
 type t = {
-  nv : int;
-  adj : int list array;
-  matrix : Bytes.t;
+  rows : Liveness.Bits.t array;
+      (** per node, the set of nodes it interferes with; symmetric and
+          irreflexive *)
   forbid : int array;
       (** per-node bitmask of physical registers it must not receive *)
   moves : (int * int * int) list;

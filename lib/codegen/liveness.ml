@@ -5,28 +5,84 @@ open Import
 
    Registers — physical or virtual — are mapped to dense node indices:
    0..15 are the machine registers, 16.. are the virtual registers in
-   allocation order.  Sets of nodes are byte-per-node Bytes.t; the
-   functions this runs on are small enough that the simplicity wins. *)
+   allocation order.  Sets of nodes are word-packed bitsets, 63 nodes to
+   an int: the colorer's interference rows are sets over thousands of
+   virtual registers, and every neighbour walk, union and comparison
+   costs one step per word rather than one per node. *)
 
 module Bits = struct
-  type t = Bytes.t
+  (* word [k] holds nodes 63k..63k+62, node [i] at bit [i mod 63];
+     bits past the set's size are never set *)
+  type t = int array
 
-  let make n = Bytes.make n '\000'
-  let get b i = Bytes.unsafe_get b i <> '\000'
-  let set b i = Bytes.unsafe_set b i '\001'
-  let clear b i = Bytes.unsafe_set b i '\000'
-  let copy = Bytes.copy
-  let equal = Bytes.equal
+  let bits = 63  (* Sys.int_size: OCaml 5 runs on 64-bit platforms only *)
+
+  let make n = Array.make ((n + bits - 1) / bits) 0
+
+  let get b i =
+    Array.unsafe_get b (i / bits) land (1 lsl (i mod bits)) <> 0
+
+  let set b i =
+    let k = i / bits in
+    Array.unsafe_set b k (Array.unsafe_get b k lor (1 lsl (i mod bits)))
+
+  let clear b i =
+    let k = i / bits in
+    Array.unsafe_set b k (Array.unsafe_get b k land lnot (1 lsl (i mod bits)))
+
+  let copy = Array.copy
+
+  let equal a b =
+    let n = Array.length a in
+    let rec go k =
+      k >= n || (Array.unsafe_get a k = Array.unsafe_get b k && go (k + 1))
+    in
+    n = Array.length b && go 0
 
   (* dst <- dst ∪ src *)
   let union_into ~src ~dst =
-    for i = 0 to Bytes.length src - 1 do
-      if get src i then set dst i
+    for k = 0 to Array.length src - 1 do
+      Array.unsafe_set dst k (Array.unsafe_get dst k lor Array.unsafe_get src k)
     done
 
+  (* dst <- dst − src *)
+  let diff_into ~src ~dst =
+    for k = 0 to Array.length src - 1 do
+      Array.unsafe_set dst k
+        (Array.unsafe_get dst k land lnot (Array.unsafe_get src k))
+    done
+
+  (* index of the single set bit of [x] (a power of two, possibly the
+     sign bit), by binary search *)
+  let bit_index x =
+    let n = ref 0 and x = ref x in
+    if !x land 0xFFFFFFFF = 0 then begin n := 32; x := !x lsr 32 end;
+    if !x land 0xFFFF = 0 then begin n := !n + 16; x := !x lsr 16 end;
+    if !x land 0xFF = 0 then begin n := !n + 8; x := !x lsr 8 end;
+    if !x land 0xF = 0 then begin n := !n + 4; x := !x lsr 4 end;
+    if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
+    if !x land 0x1 = 0 then incr n;
+    !n
+
+  let first b =
+    let n = Array.length b in
+    let rec go k =
+      if k >= n then -1
+      else
+        let w = Array.unsafe_get b k in
+        if w = 0 then go (k + 1) else (k * bits) + bit_index (w land -w)
+    in
+    go 0
+
+  (* ascending, by lowest-set-bit stepping over a snapshot of each word *)
   let iter f b =
-    for i = 0 to Bytes.length b - 1 do
-      if get b i then f i
+    for k = 0 to Array.length b - 1 do
+      let w = ref (Array.unsafe_get b k) in
+      while !w <> 0 do
+        let low = !w land - !w in
+        f ((k * bits) + bit_index low);
+        w := !w lxor low
+      done
     done
 end
 
@@ -212,8 +268,9 @@ let analyze ~(ra : Backend.regalloc_info) ~(is_jump : string -> bool) ~vbase
       List.iter
         (fun s -> Bits.union_into ~src:live_in.(s) ~dst:out)
         t.blocks.(b).succs;
+      (* in = use ∪ (out − def) *)
       let inb = Bits.copy out in
-      Bits.iter (fun nd -> if Bits.get def_b.(b) nd then Bits.clear inb nd) out;
+      Bits.diff_into ~src:def_b.(b) ~dst:inb;
       Bits.union_into ~src:use_b.(b) ~dst:inb;
       if not (Bits.equal inb live_in.(b)) then begin
         live_in.(b) <- inb;

@@ -5,16 +5,31 @@ open Import
     are mapped to dense node indices: 0..15 physical, 16.. the virtual
     registers in allocation order. *)
 
+(** Sets of node indices, word-packed 63 to an int.  Two sets passed
+    to one operation must have been made with the same size. *)
 module Bits : sig
   type t
 
+  (** [make n] is the empty set over nodes [0..n-1]. *)
   val make : int -> t
+
   val get : t -> int -> bool
   val set : t -> int -> unit
   val clear : t -> int -> unit
   val copy : t -> t
   val equal : t -> t -> bool
+
+  (** [dst <- dst ∪ src], a word at a time. *)
   val union_into : src:t -> dst:t -> unit
+
+  (** [dst <- dst − src], a word at a time. *)
+  val diff_into : src:t -> dst:t -> unit
+
+  (** The smallest member, or [-1] if the set is empty. *)
+  val first : t -> int
+
+  (** Members in ascending order.  Each word is read once, before its
+      members are visited. *)
   val iter : (int -> unit) -> t -> unit
 end
 

@@ -15,6 +15,7 @@ module Targets = Gg_targets.Targets
 module Oracle = Gg_fuzz.Oracle
 module Treegen = Gg_ir.Treegen
 module Sema = Gg_frontc.Sema
+module Corpus = Gg_frontc.Corpus
 
 let vax_ra = Backend.vax.Backend.regalloc
 let vbase = 64
@@ -26,6 +27,98 @@ let du insn =
   (sorted d, sorted u)
 
 let il = Alcotest.(list int)
+
+(* -- Liveness.Bits against a bool-array model ----------------------------- *)
+
+module Bits = Liveness.Bits
+
+(* sizes at the edges of the 63-bit words, then anything up to 400 *)
+let edge_sizes = [ 0; 1; 62; 63; 64; 125; 126; 127 ]
+
+let bits_of n members =
+  let b = Bits.make n and m = Array.make n false in
+  List.iter
+    (fun i ->
+      Bits.set b i;
+      m.(i) <- true)
+    members;
+  (b, m)
+
+let model_members m =
+  List.filter (fun i -> m.(i)) (List.init (Array.length m) Fun.id)
+
+let bits_members b =
+  let out = ref [] in
+  Bits.iter (fun i -> out := i :: !out) b;
+  List.rev !out
+
+(* the set agrees with the model on every operation that reads it *)
+let agrees b m =
+  let n = Array.length m in
+  List.for_all (fun i -> Bits.get b i = m.(i)) (List.init n Fun.id)
+  && bits_members b = model_members m
+  && Bits.first b = (match model_members m with [] -> -1 | i :: _ -> i)
+
+let test_bits_edges () =
+  List.iter
+    (fun n ->
+      let all = List.init n Fun.id in
+      let b, m = bits_of n all in
+      Alcotest.(check bool) (Printf.sprintf "full set of %d" n) true (agrees b m);
+      List.iter
+        (fun i ->
+          if i < n - 1 then begin
+            Bits.clear b i;
+            m.(i) <- false
+          end)
+        all;
+      Alcotest.(check bool)
+        (Printf.sprintf "only node %d of %d" (n - 1) n)
+        true (agrees b m);
+      Alcotest.(check bool)
+        (Printf.sprintf "empty set of %d" n)
+        true
+        (agrees (Bits.make n) (Array.make n false)))
+    edge_sizes
+
+let bits_case =
+  let open QCheck.Gen in
+  let* n = oneof [ oneofl edge_sizes; int_range 0 400 ] in
+  let members = if n = 0 then return [] else list (int_bound (n - 1)) in
+  let* xs = members and* ys = members and* zs = members in
+  return (n, xs, ys, zs)
+
+let prop_bits_model =
+  QCheck.Test.make
+    ~name:"Liveness.Bits agrees with a bool-array model (QCheck)" ~count:300
+    (QCheck.make
+       ~print:(fun (n, xs, ys, zs) ->
+         let l = QCheck.Print.(list int) in
+         Printf.sprintf "n=%d a=%s b=%s cleared=%s" n (l xs) (l ys) (l zs))
+       bits_case)
+    (fun (n, xs, ys, zs) ->
+      let a, ma = bits_of n xs and b, mb = bits_of n ys in
+      (* clear *)
+      List.iter
+        (fun i ->
+          Bits.clear a i;
+          ma.(i) <- false)
+        zs;
+      let set_ok = agrees a ma && agrees b mb in
+      (* copy is equal and independent *)
+      let a' = Bits.copy a in
+      let copy_ok = Bits.equal a a' && agrees a' ma in
+      List.iter (fun i -> Bits.set a' i) ys;
+      let independent = agrees a ma in
+      (* equality follows the model *)
+      let equal_ok = Bits.equal a b = (ma = mb) in
+      (* union and difference, a word at a time *)
+      let u = Bits.copy a and d = Bits.copy a in
+      Bits.union_into ~src:b ~dst:u;
+      Bits.diff_into ~src:b ~dst:d;
+      let union_ok = agrees u (Array.mapi (fun i x -> x || mb.(i)) ma)
+      and diff_ok = agrees d (Array.mapi (fun i x -> x && not mb.(i)) ma) in
+      set_ok && copy_ok && independent && equal_ok && union_ok && diff_ok)
 
 (* -- def/use classification ------------------------------------------------ *)
 
@@ -382,6 +475,134 @@ let test_spill_metrics_exact_across_jobs () =
   Alcotest.(check bool) "the pressure program spills on the VAX" true (s1 > 0);
   Alcotest.(check int) "spill counter exact under -j4" s1 (spills_at 4)
 
+(* -- golden colored output ------------------------------------------------ *)
+
+(* The colorer's output is pinned across changes to its data structures:
+   these digests were recorded with byte-per-node liveness sets and an
+   nv×nv interference matrix, and any representation change must
+   reproduce them byte for byte, spill and reload counts included.
+   Regenerate them only for an intended change of colored output. *)
+
+(* A straight-line function over [vars] int locals: [stmts] statements
+   of the form [vA = (vB op vC) op' K], no branches, no division.  Every
+   statement defines a fresh live range, so the interference graph has
+   thousands of nodes of small degree — the shape where a colorer that
+   scans nv² bits falls behind one that walks neighbour lists. *)
+let straight_line_source ~seed ~stmts ~vars =
+  let st = Random.State.make [| seed |] in
+  let ops = [| "+"; "-"; "*"; "&"; "|"; "^" |] in
+  let op () = ops.(Random.State.int st (Array.length ops)) in
+  let var () = Printf.sprintf "v%d" (Random.State.int st vars) in
+  let b = Buffer.create (stmts * 24) in
+  Buffer.add_string b "int main() {\n";
+  for k = 0 to vars - 1 do
+    Printf.bprintf b "  int v%d;\n" k
+  done;
+  for k = 0 to vars - 1 do
+    Printf.bprintf b "  v%d = %d;\n" k (k + 1)
+  done;
+  for _ = 1 to stmts do
+    let a = var () and x = var () and y = var () in
+    let o1 = op () and o2 = op () in
+    Printf.bprintf b "  %s = (%s %s %s) %s %d;\n" a x o1 y o2
+      (1 + Random.State.int st 97)
+  done;
+  for k = 0 to vars - 1 do
+    Printf.bprintf b "  print(v%d);\n" k
+  done;
+  Buffer.add_string b "  return v0 & 255;\n}\n";
+  Buffer.contents b
+
+(* one [(int)(0.5 * (double)e)] halving chain of depth [d] per program:
+   each level holds a register pair, so deep chains spill on RISC *)
+let halving_source d =
+  let rec chain d e =
+    if d = 0 then e
+    else chain (d - 1) (Printf.sprintf "((int)(0.5 * ((double)%s)))" e)
+  in
+  Printf.sprintf
+    "int main() {\n  int a;\n  register int k;\n  a = %d;\n  for (k = 0; k < \
+     3; k++) {\n    a = %s + %d;\n  }\n  print(a);\n  return a & 255;\n}\n"
+    (1000 * d) (chain d "a") (100 + d)
+
+let golden_inputs =
+  lazy
+    [
+      ( "corpus seeds 0..99",
+        List.init 100 (fun seed ->
+            Corpus.random_source ~seed ~functions:(1 + (seed mod 3))
+              ~stmts_per_function:(10 + (seed mod 15))) );
+      ("halving chains 4..7", List.map halving_source [ 4; 5; 6; 7 ]);
+      ( "600-statement function",
+        [ straight_line_source ~seed:15 ~stmts:600 ~vars:12 ] );
+    ]
+
+(* MD5 of the concatenated colored assembly of one input set *)
+let golden_digest target sources =
+  let tables = Targets.default_tables target in
+  let options = { Driver.default_options with Driver.regalloc = Driver.Color } in
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map
+             (fun src ->
+               (Driver.compile_program ~options ~tables ~jobs:1
+                  (Sema.compile src))
+                 .Driver.assembly)
+             sources)))
+
+let golden_expected =
+  [
+    ( "vax",
+      ( [
+          "6a87b41f108a629a39aacb7165384370";
+          "2eb4fa0d4a44a42ea363a73861cfd34d";
+          "2e173febda4d419d67ac1e14dc1fdfea";
+        ],
+        (0, 0) ) );
+    ( "risc",
+      ( [
+          "57218a446ca36762d55af1a53345b809";
+          "4b6232c4da37ce79ee19f9f048be85cf";
+          "2823e75a84f6f312bb26c7aa000b36c6";
+        ],
+        (10, 10) ) );
+  ]
+
+let test_golden_colored_output () =
+  List.iter
+    (fun target ->
+      let tname = Targets.name target in
+      let digests, (spills, reloads) =
+        match List.assoc_opt tname golden_expected with
+        | Some expected -> expected
+        | None -> Alcotest.failf "no golden digests for %s" tname
+      in
+      Gg_profile.Metrics.enabled := true;
+      Gg_profile.Metrics.reset ();
+      let actual =
+        Fun.protect
+          ~finally:(fun () -> Gg_profile.Metrics.enabled := false)
+          (fun () ->
+            List.map
+              (fun (_, sources) -> golden_digest target sources)
+              (Lazy.force golden_inputs))
+      in
+      let counters = Gg_profile.Metrics.named_counters () in
+      Gg_profile.Metrics.reset ();
+      let counter name =
+        Option.value (List.assoc_opt name counters) ~default:0
+      in
+      List.iter2
+        (fun (name, _) (want, got) ->
+          Alcotest.(check string) (tname ^ ": " ^ name) want got)
+        (Lazy.force golden_inputs) (List.combine digests actual);
+      Alcotest.(check int) (tname ^ ": codegen.spills_total") spills
+        (counter "codegen.spills_total");
+      Alcotest.(check int) (tname ^ ": codegen.reloads_total") reloads
+        (counter "codegen.reloads_total"))
+    Targets.all
+
 (* one stack and one color engine per target: any observable
    disagreement between the allocators fails through the shared
    interpreter reference *)
@@ -429,4 +650,9 @@ let suite =
     Alcotest.test_case "metrics: spill counters exact under -j" `Quick
       test_spill_metrics_exact_across_jobs;
     QCheck_alcotest.to_alcotest ~long:false prop_stack_color_parity;
+    Alcotest.test_case "golden: colored assembly and spill counts pinned"
+      `Quick test_golden_colored_output;
+    Alcotest.test_case "bits: full, last-only and empty sets at word edges"
+      `Quick test_bits_edges;
+    QCheck_alcotest.to_alcotest ~long:false prop_bits_model;
   ]
