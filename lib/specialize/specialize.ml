@@ -73,24 +73,19 @@ let state_heats (tables : Tables.t) (profile : Heat.t) =
    starts there) *)
 let default_coverage = 0.9
 
-let build ?(coverage = default_coverage) ~(profile : Heat.t)
-    (tables : Tables.t) =
-  let p = Packed.prepare tables in
-  let n = p.Packed.p_n_states in
-  let width = p.Packed.p_width in
+(* The hot states in packing order: hottest first (then densest, then
+   by id, so the order is total).  The first-fit packer lays them down
+   in this order, landing the workload's working set in the low,
+   cache-resident slots. *)
+let hot_order ~coverage ~profile (tables : Tables.t) act_rows =
+  let n = Tables.n_states tables in
   let heats = state_heats tables profile in
   let total = Array.fold_left ( + ) 0 heats in
-  let hot = Bytes.make ((n + 7) / 8) '\000' in
-  let set_hot s =
-    Bytes.set hot (s lsr 3)
-      (Char.chr (Char.code (Bytes.get hot (s lsr 3)) lor (1 lsl (s land 7))))
-  in
+  let hot = Array.make n false in
   if total = 0 then
     (* no usable heat (empty profile, foreign ids only): degenerate to
        the baseline layout with every state hot *)
-    for s = 0 to n - 1 do
-      set_hot s
-    done
+    Array.fill hot 0 n true
   else begin
     let order = Array.init n (fun s -> s) in
     Array.sort
@@ -107,33 +102,46 @@ let build ?(coverage = default_coverage) ~(profile : Heat.t)
       (fun s ->
         if !acc < target && heats.(s) > 0 then begin
           acc := !acc + heats.(s);
-          set_hot s
+          hot.(s) <- true
         end)
       order;
-    set_hot 0
+    hot.(0) <- true
   end;
+  List.init n (fun s -> s)
+  |> List.filter (fun s -> hot.(s))
+  |> List.sort (fun a b ->
+         match Int.compare heats.(b) heats.(a) with
+         | 0 -> (
+           match
+             Int.compare (List.length act_rows.(b)) (List.length act_rows.(a))
+           with
+           | 0 -> Int.compare a b
+           | c -> c)
+         | c -> c)
+
+let act_rows_of (p : Packed.prepared) =
+  let rows = Array.make p.Packed.p_n_states [] in
+  List.iter (fun (s, entries) -> rows.(s) <- entries) p.Packed.p_act_rows;
+  rows
+
+let hot_states ?(coverage = default_coverage) ~profile tables =
+  hot_order ~coverage ~profile tables (act_rows_of (Packed.prepare tables))
+
+let build ?(coverage = default_coverage) ~(profile : Heat.t)
+    (tables : Tables.t) =
+  let p = Packed.prepare tables in
+  let n = p.Packed.p_n_states in
+  let width = p.Packed.p_width in
+  let act_rows = act_rows_of p in
+  let hot_states = hot_order ~coverage ~profile tables act_rows in
+  let hot = Bytes.make ((n + 7) / 8) '\000' in
+  List.iter
+    (fun s ->
+      Bytes.set hot (s lsr 3)
+        (Char.chr (Char.code (Bytes.get hot (s lsr 3)) lor (1 lsl (s land 7)))))
+    hot_states;
   let hot_bit s =
     Char.code (Bytes.get hot (s lsr 3)) land (1 lsl (s land 7)) <> 0
-  in
-  let act_rows = Array.make n [] in
-  List.iter (fun (s, entries) -> act_rows.(s) <- entries) p.Packed.p_act_rows;
-  (* hot rows, hottest first (then densest, then by id, so the order is
-     total): the first-fit packer lays them down in this order, landing
-     the workload's working set in the low, cache-resident slots *)
-  let hot_states =
-    List.init n (fun s -> s)
-    |> List.filter hot_bit
-    |> List.sort (fun a b ->
-           match Int.compare heats.(b) heats.(a) with
-           | 0 -> (
-             match
-               Int.compare
-                 (List.length act_rows.(b))
-                 (List.length act_rows.(a))
-             with
-             | 0 -> Int.compare a b
-             | c -> c)
-           | c -> c)
   in
   let n_hot = List.length hot_states in
   let act_base, act_check, act_value =

@@ -41,6 +41,10 @@ val default_coverage : float
     only steers layout. *)
 val build : ?coverage:float -> profile:Heat.t -> Tables.t -> t
 
+(** The states {!build} lays into the hot comb, in its packing order:
+    hottest first, then densest, then by id. *)
+val hot_states : ?coverage:float -> profile:Heat.t -> Tables.t -> int list
+
 (** Same integer-code contract as {!Gg_tablegen.Packed.action_code}.
     When {!Gg_profile.Metrics.enabled}, each non-error probe bumps
     [matcher.probe_hits_hot] or [matcher.probe_hits_cold] — the

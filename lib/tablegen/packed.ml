@@ -1,15 +1,31 @@
 open Import
 
 (* encoded actions: 0 = error; (s<<2)|1 = shift s; (p<<2)|2 = reduce p;
-   3 = accept; ((i+1)<<2)|3 = semantic tie, candidates in aux.(i) *)
-let encode aux = function
+   3 = accept; ((i+1)<<2)|3 = semantic tie, candidates in aux.(i).
+   Tie candidate arrays are interned: equal arrays share one [i], so a
+   tie row's cells equal its tie default and are covered by it. *)
+let ties () : (int array, int) Hashtbl.t = Hashtbl.create 16
+
+let tie_arrays ties =
+  let arrays = Array.make (Hashtbl.length ties) [||] in
+  Hashtbl.iter (fun candidates i -> arrays.(i) <- candidates) ties;
+  arrays
+
+let encode ties = function
   | Tables.Error -> 0
   | Tables.Shift s -> (s lsl 2) lor 1
   | Tables.Accept -> 3
   | Tables.Reduce [| p |] -> (p lsl 2) lor 2
   | Tables.Reduce candidates ->
-    aux := candidates :: !aux;
-    ((List.length !aux lsl 2) lor 3 : int)
+    let i =
+      match Hashtbl.find_opt ties candidates with
+      | Some i -> i
+      | None ->
+        let i = Hashtbl.length ties in
+        Hashtbl.add ties candidates i;
+        i
+    in
+    ((i + 1) lsl 2) lor 3
 
 type t = {
   n_terms : int;  (* action row width is n_terms + 1 (eof) *)
@@ -24,26 +40,48 @@ type t = {
   goto_base : int array;
   goto_check : int array;
   goto_value : int array;  (* target + 1; 0 = none *)
-  aux : int array array;  (* reversed tie candidate lists *)
+  aux : int array array;  (* tie candidate arrays, one per distinct tie *)
 }
 
-(* first-fit row displacement packing.  [keep_order] packs the rows in
-   the order given (the specializer's heat order) instead of
-   densest-first. *)
+(* First-fit row displacement.  Slot occupancy is mirrored in a bitset,
+   63 slots per int, so one pass over a row's columns tests 63
+   candidate bases at once; the layout is still exactly first-fit (see
+   the .mli). *)
+let bits = 63 (* Sys.int_size: OCaml 5 runs on 64-bit platforms only *)
+
+(* index of the lowest clear bit of [w], which is not all ones *)
+let lowest_clear w =
+  let n = ref 0 and x = ref (lnot w land (w + 1)) in
+  if !x land 0xFFFFFFFF = 0 then begin n := 32; x := !x lsr 32 end;
+  if !x land 0xFFFF = 0 then begin n := !n + 16; x := !x lsr 16 end;
+  if !x land 0xFF = 0 then begin n := !n + 8; x := !x lsr 8 end;
+  if !x land 0xF = 0 then begin n := !n + 4; x := !x lsr 4 end;
+  if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
+  if !x land 0x1 = 0 then incr n;
+  !n
+
+(* occupancy of slots [i, i + 63) as one int, slot [i + k] at bit [k];
+   slots past the bitset are free *)
+let window occ i =
+  let k = i / bits and r = i mod bits in
+  let n = Array.length occ in
+  let lo = if k < n then Array.unsafe_get occ k else 0 in
+  if r = 0 then lo
+  else
+    let hi = if k + 1 < n then Array.unsafe_get occ (k + 1) else 0 in
+    (lo lsr r) lor (hi lsl (bits - r))
+
 let comb_pack ?(keep_order = false) ~width ~n_states rows =
-  let size = ref (width * 4) in
-  let check = ref (Array.make !size (-1)) in
-  let value = ref (Array.make !size 0) in
-  let grow upto =
-    if upto >= !size then begin
-      let nsize = max (2 * !size) (upto + width + 1) in
-      let ncheck = Array.make nsize (-1) in
-      let nvalue = Array.make nsize 0 in
-      Array.blit !check 0 ncheck 0 !size;
-      Array.blit !value 0 nvalue 0 !size;
-      check := ncheck;
-      value := nvalue;
-      size := nsize
+  let check = ref (Array.make (width * 4) (-1)) in
+  let value = ref (Array.make (width * 4) 0) in
+  let occ = ref (Array.make (((width * 4) / bits) + 1) 0) in
+  let grow a fill len =
+    let n = Array.length a in
+    if len <= n then a
+    else begin
+      let b = Array.make (max (2 * n) len) fill in
+      Array.blit a 0 b 0 n;
+      b
     end
   in
   let base = Array.make n_states 0 in
@@ -61,24 +99,34 @@ let comb_pack ?(keep_order = false) ~width ~n_states rows =
       match entries with
       | [] -> base.(s) <- 0
       | _ ->
-        let fits b =
-          List.for_all
-            (fun (col, _) ->
-              let i = b + col in
-              grow i;
-              !check.(i) = -1)
-            entries
+        let cols = Array.of_list (List.map fst entries) in
+        (* bit [i] set iff base [b + i] puts some column on a taken slot *)
+        let taken b =
+          let acc = ref 0 and j = ref 0 in
+          while !acc <> -1 && !j < Array.length cols do
+            acc := !acc lor window !occ (b + Array.unsafe_get cols !j);
+            incr j
+          done;
+          !acc
         in
-        let rec find b = if fits b then b else find (b + 1) in
+        let rec find b =
+          let t = taken b in
+          if t = -1 then find (b + bits) else b + lowest_clear t
+        in
         let b = find 0 in
         base.(s) <- b;
+        let last = b + Array.fold_left Int.max 0 cols in
+        check := grow !check (-1) (last + 1);
+        value := grow !value 0 (last + 1);
+        occ := grow !occ 0 ((last / bits) + 1);
         List.iter
           (fun (col, code) ->
             let i = b + col in
             !check.(i) <- s;
             !value.(i) <- code;
-            if i + 1 > !high then high := i + 1)
-          entries)
+            !occ.(i / bits) <- !occ.(i / bits) lor (1 lsl (i mod bits)))
+          entries;
+        if last + 1 > !high then high := last + 1)
     order;
   let trim a = Array.sub a 0 (max 1 !high) in
   (base, trim !check, trim !value)
@@ -103,16 +151,30 @@ type prepared = {
   p_aux : int array array;
 }
 
+let is_reduce code = code land 3 = 2 || (code land 3 = 3 && code <> 3)
+
+(* the most frequent code of an ascending list, the lowest of those on
+   equal counts (a stated order, so the layout is reproducible); 0 for
+   the empty list *)
+let most_frequent sorted =
+  let rec go best best_n cur n = function
+    | c :: rest when c = cur -> go best best_n cur (n + 1) rest
+    | rest -> (
+      let best, best_n = if n > best_n then (cur, n) else (best, best_n) in
+      match rest with [] -> best | c :: rest -> go best best_n c 1 rest)
+  in
+  go 0 0 0 0 sorted
+
 let prepare (tables : Tables.t) =
   let g = Tables.grammar tables in
   let nt = Symtab.n_terms g.Grammar.symtab in
   let nn = Symtab.n_nonterms g.Grammar.symtab in
   let n_states = Tables.n_states tables in
-  let aux = ref [] in
+  let ties = ties () in
   (* one bit per dense action cell: set iff the cell is not Error.  The
      bit distinguishes "no action" from "covered by the default
      reduction", which the comb arrays alone cannot, and is what keeps
-    the packed action function identical to the dense one. *)
+     the packed action function identical to the dense one. *)
   let width = nt + 1 in
   let valid = Bytes.make (((n_states * width) + 7) / 8) '\000' in
   let set_valid s a =
@@ -120,45 +182,26 @@ let prepare (tables : Tables.t) =
     Bytes.set valid (i lsr 3)
       (Char.chr (Char.code (Bytes.get valid (i lsr 3)) lor (1 lsl (i land 7))))
   in
-  for s = 0 to n_states - 1 do
-    Array.iteri
-      (fun a action ->
-        match action with Tables.Error -> () | _ -> set_valid s a)
-      tables.Tables.action.(s)
-  done;
-  (* default reductions: the most frequent reduce action of each row *)
+  (* each cell is encoded once; a row's default is its most frequent
+     reduce code *)
   let defaults = Array.make n_states 0 in
   let act_rows =
     List.init n_states (fun s ->
-        let counts = Hashtbl.create 8 in
-        Array.iter
-          (fun action ->
-            match action with
-            | Tables.Reduce _ ->
-              let k = try Hashtbl.find counts action with Not_found -> 0 in
-              Hashtbl.replace counts action (k + 1)
-            | _ -> ())
-          tables.Tables.action.(s);
-        let default =
-          Hashtbl.fold
-            (fun action k best ->
-              match best with
-              | Some (_, bk) when bk >= k -> best
-              | _ -> Some (action, k))
-            counts None
-        in
-        (match default with
-        | Some (action, _) -> defaults.(s) <- encode aux action
-        | None -> ());
+        let codes = Array.map (encode ties) tables.Tables.action.(s) in
+        let reduces = ref [] in
+        Array.iteri
+          (fun a code ->
+            if code <> 0 then set_valid s a;
+            if is_reduce code then reduces := code :: !reduces)
+          codes;
+        let default = most_frequent (List.sort Int.compare !reduces) in
+        defaults.(s) <- default;
         let entries = ref [] in
         Array.iteri
-          (fun a action ->
-            match action with
-            | Tables.Error -> ()
-            | other ->
-              let code = encode aux other in
-              if code <> defaults.(s) then entries := (a, code) :: !entries)
-          tables.Tables.action.(s);
+          (fun a code ->
+            if code <> 0 && code <> default then
+              entries := (a, code) :: !entries)
+          codes;
         (s, !entries))
   in
   let goto_rows =
@@ -180,7 +223,7 @@ let prepare (tables : Tables.t) =
     p_defaults = defaults;
     p_act_rows = act_rows;
     p_goto_rows = goto_rows;
-    p_aux = Array.of_list (List.rev !aux);
+    p_aux = tie_arrays ties;
   }
 
 let pack (tables : Tables.t) =
@@ -241,9 +284,9 @@ let action t s a = decode t (action_code t s a)
 let tie_candidates t i = t.aux.(i)
 
 let encode_table (tables : Tables.t) =
-  let aux = ref [] in
-  let codes = Array.map (Array.map (encode aux)) tables.Tables.action in
-  (codes, Array.of_list (List.rev !aux))
+  let ties = ties () in
+  let codes = Array.map (Array.map (encode ties)) tables.Tables.action in
+  (codes, tie_arrays ties)
 
 let expected t s =
   let acc = ref [] in

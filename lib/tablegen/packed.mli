@@ -31,6 +31,9 @@ val pack : Tables.t -> t
 (** The representation-independent half of {!pack}: validity bits,
     default reductions, per-state exception rows (cells whose code
     differs from the state's default) and the tie-candidate arrays.
+    Tie candidate arrays are interned — one [p_aux] entry, and so one
+    code, per distinct array — and a state's default is its most
+    frequent reduce code, the lowest such code on equal counts.
     {!pack} lays the rows out densest-first; the profile-guided
     specializer ({!Gg_specialize.Specialize}) lays the same rows out
     hottest-first — both decode identically to the dense table because
@@ -51,10 +54,17 @@ type prepared = {
 val prepare : Tables.t -> prepared
 
 (** First-fit row-displacement packing of [(row, (column, value) list)]
-    rows into a (base, check, value) triple.  Rows are packed
-    densest-first unless [keep_order] is set, in which case the given
-    order is the packing order (the specializer packs hottest-first so
-    hot rows share cache lines). *)
+    rows into a (base, check, value) triple: each row in turn takes the
+    lowest base at which every one of its columns lands on a free slot
+    (an empty row gets base 0 and no slots).  The layout is {e exactly}
+    the one trying base 0, 1, 2, ... in turn gives, but 63 bases are
+    tested per step: slot occupancy is also kept as a bitset, and
+    OR-ing, over the row's columns, the 63 occupancy bits starting at
+    [b + column] leaves bit [i] clear iff base [b + i] fits; the lowest
+    clear bit is the first fit, and an all-ones result moves on to
+    [b + 63].  Rows are packed densest-first unless [keep_order] is
+    set, in which case the given order is the packing order (the
+    specializer packs hottest-first so hot rows share cache lines). *)
 val comb_pack :
   ?keep_order:bool ->
   width:int ->
@@ -70,8 +80,8 @@ val action : t -> int -> int -> Tables.action
     view of the table.  [0] is error, [3] accept, [(s lsl 2) lor 1]
     shift to state [s], [(p lsl 2) lor 2] reduce by production [p], and
     [((i+1) lsl 2) lor 3] a semantic tie whose candidate productions
-    are [tie_candidates t i].  [action t s a = decode (action_code t s a)]
-    in every cell. *)
+    are [tie_candidates t i] (one [i] per distinct candidate array).
+    [action t s a = decode (action_code t s a)] in every cell. *)
 val action_code : t -> int -> int -> int
 
 (** The candidate array of tie [i], in the same order the dense table's

@@ -310,6 +310,219 @@ let test_cache_target_keys () =
   Sys.remove vax_path;
   Sys.rmdir dir
 
+(* -- comb packing: exactly the first-fit layout --------------------------- *)
+
+(* The reference: first-fit row displacement, trying base 0, 1, 2, ...
+   and checking every column at each.  Kept here only, as the oracle
+   [Packed.comb_pack] must match array for array. *)
+let reference_comb_pack ?(keep_order = false) ~width ~n_states rows =
+  let size = ref (width * 4) in
+  let check = ref (Array.make !size (-1)) in
+  let value = ref (Array.make !size 0) in
+  let grow upto =
+    if upto >= !size then begin
+      let nsize = max (2 * !size) (upto + width + 1) in
+      let ncheck = Array.make nsize (-1) in
+      let nvalue = Array.make nsize 0 in
+      Array.blit !check 0 ncheck 0 !size;
+      Array.blit !value 0 nvalue 0 !size;
+      check := ncheck;
+      value := nvalue;
+      size := nsize
+    end
+  in
+  let base = Array.make n_states 0 in
+  let order =
+    if keep_order then rows
+    else
+      List.sort
+        (fun (_, a) (_, b) -> compare (List.length b) (List.length a))
+        rows
+  in
+  let high = ref 0 in
+  List.iter
+    (fun (s, entries) ->
+      match entries with
+      | [] -> base.(s) <- 0
+      | _ ->
+        let fits b =
+          List.for_all
+            (fun (col, _) ->
+              let i = b + col in
+              grow i;
+              !check.(i) = -1)
+            entries
+        in
+        let rec find b = if fits b then b else find (b + 1) in
+        let b = find 0 in
+        base.(s) <- b;
+        List.iter
+          (fun (col, code) ->
+            let i = b + col in
+            !check.(i) <- s;
+            !value.(i) <- code;
+            if i + 1 > !high then high := i + 1)
+          entries)
+    order;
+  let trim a = Array.sub a 0 (max 1 !high) in
+  (base, trim !check, trim !value)
+
+(* the first of the (base, check, value) arrays that differs *)
+let comb_diff (b1, c1, v1) (b2, c2, v2) =
+  List.find_map
+    (fun (name, a1, a2) ->
+      if a1 = a2 then None
+      else
+        Some
+          (Fmt.str "%s differs (lengths %d and %d)" name (Array.length a1)
+             (Array.length a2)))
+    [ ("base", b1, b2); ("check", c1, c2); ("value", v1, v2) ]
+
+let comb_case =
+  let open QCheck.Gen in
+  let* width =
+    oneof [ oneofl [ 1; 2; 62; 63; 64; 126; 127; 200 ]; int_range 1 200 ]
+  in
+  let* n = int_range 0 40 in
+  let row =
+    oneof
+      [
+        return [];
+        return [ 0 ];
+        return [ width - 1 ];
+        (let* density = int_range 1 100 in
+         let* keep = list_repeat width (int_bound 99) in
+         shuffle_l
+           (List.concat
+              (List.mapi (fun col k -> if k < density then [ col ] else []) keep)));
+      ]
+  in
+  let* cols = list_repeat n row in
+  let* states = shuffle_l (List.init n (fun s -> s)) in
+  let* keep_order = bool in
+  let rows =
+    List.map2
+      (fun s cs -> (s, List.map (fun c -> (c, (s * 1000) + c + 1)) cs))
+      states cols
+  in
+  return (width, keep_order, n, rows)
+
+let prop_comb_first_fit =
+  QCheck.Test.make
+    ~name:"comb_pack is exactly the reference first-fit (QCheck)" ~count:400
+    (QCheck.make
+       ~print:(fun (width, keep_order, n, rows) ->
+         Fmt.str "width=%d keep_order=%b n_states=%d rows=%a" width keep_order
+           n
+           Fmt.(Dump.list (Dump.pair int (Dump.list int)))
+           (List.map (fun (s, es) -> (s, List.map fst es)) rows))
+       comb_case)
+    (fun (width, keep_order, n_states, rows) ->
+      let got = Packed.comb_pack ~keep_order ~width ~n_states rows in
+      let want = reference_comb_pack ~keep_order ~width ~n_states rows in
+      match comb_diff got want with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "differs from first-fit: %s" d)
+
+let target_grammar target =
+  Lazy.force
+    (Gg_targets.Targets.backend_of target).Gg_codegen.Backend.default_grammar
+
+(* the real rows of both targets, in both packing orders the compiler
+   uses: densest-first (the baseline) and the specializer's
+   hottest-first *)
+let test_comb_real_rows () =
+  List.iter
+    (fun target ->
+      let name = Gg_targets.Targets.name target in
+      let t = Tables.build (target_grammar target) in
+      let p = Packed.prepare t in
+      let n_states = p.Packed.p_n_states in
+      let hot =
+        Gg_specialize.Specialize.hot_states
+          ~profile:(Gg_targets.Targets.heat_profile target)
+          t
+      in
+      Alcotest.(check bool)
+        (name ^ ": a real hot/cold split") true
+        (List.length hot > 1 && List.length hot < n_states);
+      let hottest_first rows =
+        List.map (fun s -> (s, List.assoc s rows)) hot
+      in
+      List.iter
+        (fun (what, width, rows) ->
+          List.iter
+            (fun (order, keep_order, rows) ->
+              let got = Packed.comb_pack ~keep_order ~width ~n_states rows in
+              let want =
+                reference_comb_pack ~keep_order ~width ~n_states rows
+              in
+              match comb_diff got want with
+              | None -> ()
+              | Some d -> Alcotest.failf "%s %s comb, %s: %s" name what order d)
+            [
+              ("densest-first", false, rows);
+              ("hottest-first", true, hottest_first rows);
+            ])
+        [
+          ("action", p.Packed.p_width, p.Packed.p_act_rows);
+          ("goto", p.Packed.p_n_nonterms, p.Packed.p_goto_rows);
+        ])
+    Gg_targets.Targets.all
+
+(* -- tie candidates: interned, and decoding to the dense candidates ------- *)
+
+let test_ties_interned () =
+  List.iter
+    (fun target ->
+      let name = Gg_targets.Targets.name target in
+      let t = Tables.build (target_grammar target) in
+      let ties =
+        Array.to_list t.Tables.action
+        |> List.concat_map Array.to_list
+        |> List.filter_map (function
+             | Tables.Reduce c when Array.length c > 1 -> Some c
+             | _ -> None)
+      in
+      let distinct = List.sort_uniq compare ties in
+      Alcotest.(check bool) (name ^ ": the table has ties") true (ties <> []);
+      let p = Packed.prepare t in
+      Alcotest.(check int)
+        (name ^ ": one aux entry per distinct candidate array")
+        (List.length distinct) (Array.length p.Packed.p_aux);
+      Alcotest.(check int)
+        (name ^ ": no duplicate aux entries")
+        (Array.length p.Packed.p_aux)
+        (List.length (List.sort_uniq compare (Array.to_list p.Packed.p_aux)));
+      let packed = Packed.pack t in
+      let codes, aux = Packed.encode_table t in
+      Alcotest.(check int)
+        (name ^ ": dense encoding interns too")
+        (List.length distinct) (Array.length aux);
+      Array.iteri
+        (fun s row ->
+          Array.iteri
+            (fun a action ->
+              match action with
+              | Tables.Reduce c when Array.length c > 1 ->
+                let decodes what code tie =
+                  if code land 3 <> 3 || code = 3 then
+                    Alcotest.failf "%s: %s cell (%d, %d) is not a tie code"
+                      name what s a;
+                  if tie ((code lsr 2) - 1) <> c then
+                    Alcotest.failf
+                      "%s: %s cell (%d, %d) decodes to other candidates" name
+                      what s a
+                in
+                decodes "packed"
+                  (Packed.action_code packed s a)
+                  (Packed.tie_candidates packed);
+                decodes "dense" codes.(s).(a) (fun i -> aux.(i))
+              | _ -> ())
+            row)
+        t.Tables.action)
+    Gg_targets.Targets.all
+
 let suite =
   [
     Alcotest.test_case "VAX action/goto/expected parity" `Quick
@@ -328,4 +541,9 @@ let suite =
       test_cache_miss_then_hit;
     Alcotest.test_case "cache: per-target keys never collide" `Quick
       test_cache_target_keys;
+    QCheck_alcotest.to_alcotest ~long:false prop_comb_first_fit;
+    Alcotest.test_case "comb: real rows of both targets, both orders" `Quick
+      test_comb_real_rows;
+    Alcotest.test_case "ties: interned, decoding to the dense candidates"
+      `Quick test_ties_interned;
   ]
