@@ -1544,9 +1544,9 @@ let bench_specialize () =
         let profile = Targets.heat_profile target in
         let dense = Tables.build g in
         let packed = Packed.pack dense in
-        let spec = Gg_specialize.Specialize.build ~profile dense in
+        let spec = Packed.pack ~profile dense in
         let verified =
-          match Gg_specialize.Specialize.verify spec dense with
+          match Packed.verify spec dense with
           | Ok () -> true
           | Error m ->
             row "  %s: VERIFICATION FAILED: %s@." name m;
@@ -1556,8 +1556,7 @@ let bench_specialize () =
           Driver.of_engine ~backend:b (Matcher.packed_engine ~grammar:g packed)
         in
         let spec_tables =
-          Driver.of_engine ~backend:b
-            (Gg_specialize.Specialize.engine ~grammar:g spec)
+          Driver.of_engine ~backend:b (Matcher.packed_engine ~grammar:g spec)
         in
         let identical =
           List.for_all
@@ -1593,9 +1592,7 @@ let bench_specialize () =
           List.concat (List.init 8 (fun _ -> token_lists))
         in
         let packed_engine = Matcher.packed_engine ~grammar:g packed in
-        let spec_engine =
-          Gg_specialize.Specialize.engine ~grammar:g spec
-        in
+        let spec_engine = Matcher.packed_engine ~grammar:g spec in
         let run_all e () =
           List.iter
             (fun toks -> ignore (Matcher.run_engine e null_cb toks))
@@ -1631,16 +1628,16 @@ let bench_specialize () =
         Metrics.reset ();
         Metrics.enabled := metrics_were;
         let pst = Packed.stats packed in
-        let sst = Gg_specialize.Specialize.stats spec in
+        let sst = Packed.stats spec in
         row "[%s]@." name;
         row "  verified cell-for-cell:   %b@." verified;
         row "  assembly byte-identical:  %b  (%d programs)@." identical
           (List.length parity_progs);
-        row "  hot states:               %d of %d@." sst.Gg_specialize.Specialize.hot_states
-          sst.Gg_specialize.Specialize.states;
+        row "  hot states:               %d of %d@." sst.Packed.hot_states
+          sst.Packed.states;
         row "  table bytes:              %d -> %d  (delta %+d)@."
-          pst.Packed.packed_bytes sst.Gg_specialize.Specialize.spec_bytes
-          (sst.Gg_specialize.Specialize.spec_bytes - pst.Packed.packed_bytes);
+          pst.Packed.packed_bytes sst.Packed.packed_bytes
+          (sst.Packed.packed_bytes - pst.Packed.packed_bytes);
         row "  matcher, hot corpus:      %.2f ms packed, %.2f ms specialized, \
              speedup %.3fx@."
           (ns_packed /. 1e6) (ns_spec /. 1e6) speedup;
@@ -1673,13 +1670,12 @@ let bench_specialize () =
       p "    { \"target\": \"%s\",\n" name;
       p "      \"verified\": %b,\n" verified;
       p "      \"assembly_identical\": %b,\n" identical;
-      p "      \"states\": %d,\n" sst.Gg_specialize.Specialize.states;
-      p "      \"hot_states\": %d,\n" sst.Gg_specialize.Specialize.hot_states;
+      p "      \"states\": %d,\n" sst.Packed.states;
+      p "      \"hot_states\": %d,\n" sst.Packed.hot_states;
       p "      \"baseline_table_bytes\": %d,\n" pst.Packed.packed_bytes;
-      p "      \"specialized_table_bytes\": %d,\n"
-        sst.Gg_specialize.Specialize.spec_bytes;
+      p "      \"specialized_table_bytes\": %d,\n" sst.Packed.packed_bytes;
       p "      \"table_bytes_delta\": %d,\n"
-        (sst.Gg_specialize.Specialize.spec_bytes - pst.Packed.packed_bytes);
+        (sst.Packed.packed_bytes - pst.Packed.packed_bytes);
       p "      \"matcher_ms_packed\": %.3f,\n" (ns_packed /. 1e6);
       p "      \"matcher_ms_specialized\": %.3f,\n" (ns_spec /. 1e6);
       p "      \"matcher_speedup\": %.3f,\n" speedup;

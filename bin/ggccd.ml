@@ -99,13 +99,13 @@ let run socket admin_socket workers queue_capacity read_timeout log_path
     Hashtbl.create 4
   in
   (* a file profile is target-specific (production ids are per-grammar),
-     but loading it is cheap and validation happens inside the
-     specializer; --specialize auto collects a per-target profile from
+     but loading it is cheap and ids a grammar lacks are ignored by the
+     packer; --specialize auto collects a per-target profile from
      the built-in corpus at resolution time *)
   let file_profile =
     match specialize with
     | Some spec when spec <> "auto" -> (
-      match Gg_specialize.Heat.load spec with
+      match Gg_tablegen.Heat.load spec with
       | p -> Some p
       | exception (Failure m | Sys_error m) ->
         Fmt.epr "error: cannot load profile %s: %s@." spec m;

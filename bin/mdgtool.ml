@@ -163,13 +163,13 @@ let pack_stats o target_name =
 (* warm (or inspect) the on-disk table cache ggcc compiles from.  The
    cache directory is shared by every target, so both warming and
    clearing walk the full live list: clearing the VAX entry must not
-   leave a stale RISC one behind, and vice versa.  Specialized entries
+   leave a stale RISC one behind, and vice versa.  Profiled entries
    (grammar digest + profile digest) are listed distinctly and evicted
    unless their profile is declared live with --profile. *)
 let cache o dir clear profiles =
   let live = Gg_targets.Targets.live_cache_entries o in
   let live_profiles =
-    List.map (fun f -> Gg_specialize.Heat.digest (Gg_specialize.Heat.load f))
+    List.map (fun f -> Gg_tablegen.Heat.digest (Gg_tablegen.Heat.load f))
       profiles
   in
   if clear then begin
@@ -184,7 +184,7 @@ let cache o dir clear profiles =
       live;
     (* also sweep entries matching no live (target, digest) pair —
        unreachable files an edited grammar leaves behind — and
-       specialized entries whose profile was not kept alive *)
+       profiled entries whose profile was not kept alive *)
     match Gg_tablegen.Cache.clear_stale ?dir ~live_profiles live with
     | [] -> Fmt.pr "no stale entries@."
     | evicted ->
@@ -223,16 +223,16 @@ let cache o dir clear profiles =
           (Gg_tablegen.Packed.stats packed);
         Fmt.pr "digest:     %s@." (Gg_tablegen.Packed.digest packed))
       live;
-    (* specialized entries carry a third key component (the profile
-       digest) and are listed apart from the baselines above *)
+    (* profiled entries carry a third key component (the profile
+       digest) and are listed apart from the profile-free ones above *)
     match
       List.filter
         (fun e -> e.Gg_tablegen.Cache.e_profile_digest <> None)
         (Gg_tablegen.Cache.list ?dir ())
     with
-    | [] -> Fmt.pr "@.specialized entries: none@."
+    | [] -> Fmt.pr "@.profiled entries: none@."
     | specs ->
-      Fmt.pr "@.specialized entries (%d):@." (List.length specs);
+      Fmt.pr "@.profiled entries (%d):@." (List.length specs);
       List.iter
         (fun e ->
           Fmt.pr "  %s: grammar %s, profile %s, %d bytes@."
@@ -268,22 +268,22 @@ let heat o target_name top seeds json out verbose =
   let counts = Gg_profile.Profile.production_counts () in
   (* canonical form: duplicates merged, count desc then id asc — two
      runs over the same corpus render byte-identical profiles, so the
-     profile digest (the specialized-table cache key) is stable *)
-  let profile = Gg_specialize.Heat.of_counts counts in
-  let total = profile.Gg_specialize.Heat.total in
-  let sorted = profile.Gg_specialize.Heat.counts in
+     profile digest (the profiled-table cache key) is stable *)
+  let profile = Gg_tablegen.Heat.of_counts counts in
+  let total = profile.Gg_tablegen.Heat.total in
+  let sorted = profile.Gg_tablegen.Heat.counts in
   (match out with
   | None -> ()
   | Some path ->
-    Gg_specialize.Heat.save profile path;
+    Gg_tablegen.Heat.save profile path;
     Fmt.pr "wrote %s (%d productions, profile digest %s)@." path
       (List.length sorted)
-      (Gg_specialize.Heat.digest profile));
+      (Gg_tablegen.Heat.digest profile));
   if json then begin
     (* machine-readable firing counts: the spill-cost input of
        [ggcc --regalloc color --heat FILE] and the layout input of
        [mdgtool specialize] *)
-    if out = None then print_string (Gg_specialize.Heat.to_json_string profile);
+    if out = None then print_string (Gg_tablegen.Heat.to_json_string profile);
     exit 0
   end;
   if out <> None then exit 0;
@@ -333,16 +333,16 @@ let heat o target_name top seeds json out verbose =
     done
   end
 
-(* profile-guided table specialization: take a heat profile (mdgtool
-   heat --json --out), reshape the packed tables around it, prove
-   cell-for-cell parity against the dense tables, and report the layout
-   before and after.  The result lands in the shared table cache keyed
-   by (target, grammar digest, profile digest) — or in --out FILE as a
-   ggcg-tables-v3 file. *)
-let specialize o target_name profile_path coverage dir out =
+(* profile-guided table layout: take a heat profile (mdgtool heat
+   --json --out), pack the tables around it, prove cell-for-cell parity
+   against the dense tables, and report the layout before and after.
+   The result lands in the shared table cache keyed by (target, grammar
+   digest, profile digest) — or in --out FILE.  The last line is the
+   exact profiled size, for CI's size gate. *)
+let specialize o target_name profile_path dir out =
   let target = target_of_name target_name in
   let profile =
-    match Gg_specialize.Heat.load profile_path with
+    match Gg_tablegen.Heat.load profile_path with
     | p -> p
     | exception (Failure m | Sys_error m) ->
       Fmt.epr "error: cannot load profile %s: %s@." profile_path m;
@@ -356,32 +356,29 @@ let specialize o target_name profile_path coverage dir out =
   in
   let dense = Tables.build g in
   let packed = Gg_tablegen.Packed.pack dense in
-  let spec = Gg_specialize.Specialize.build ~coverage ~profile dense in
-  (match Gg_specialize.Specialize.verify spec dense with
+  let spec = Gg_tablegen.Packed.pack ~profile dense in
+  (match Gg_tablegen.Packed.verify spec dense with
   | Ok () -> ()
   | Error m ->
-    Fmt.epr "error: specialized tables failed verification: %s@." m;
+    Fmt.epr "error: profiled tables failed verification: %s@." m;
     exit 1);
-  let st = Gg_specialize.Specialize.stats spec in
+  let st = Gg_tablegen.Packed.stats spec in
   Fmt.pr "target:         %s@." target_name;
-  Fmt.pr "profile:        %a@." Gg_specialize.Heat.pp profile;
-  Fmt.pr "baseline:       %a@." Gg_tablegen.Packed.pp_stats
+  Fmt.pr "profile:        %a@." Gg_tablegen.Heat.pp profile;
+  Fmt.pr "profile-free:   %a@." Gg_tablegen.Packed.pp_stats
     (Gg_tablegen.Packed.stats packed);
-  Fmt.pr "specialized:    %a@." Gg_specialize.Specialize.pp_stats st;
+  Fmt.pr "profiled:       %a@." Gg_tablegen.Packed.pp_stats st;
   Fmt.pr "verification:   ok (cell-for-cell parity with the dense tables)@.";
-  match out with
+  (match out with
   | Some path ->
-    Gg_specialize.Specialize.save spec path;
+    Gg_tablegen.Packed.save spec path;
     Fmt.pr "wrote %s@." path
   | None ->
-    let target_name = Gg_targets.Targets.name target in
-    if Gg_specialize.Specialize.cache_store ?dir ~target:target_name g spec
-    then
-      Fmt.pr "cached %s@."
-        (Gg_tablegen.Cache.spec_path ?dir ~target:target_name
-           ~profile_digest:(Gg_specialize.Heat.digest profile)
-           g)
-    else Fmt.epr "warning: could not store in the table cache@."
+    let target = Gg_targets.Targets.name target in
+    if Gg_tablegen.Cache.store ?dir ~target g spec then
+      Fmt.pr "cached %s@." (Gg_tablegen.Cache.path ?dir ~target ~profile g)
+    else Fmt.epr "warning: could not store in the table cache@.");
+  Fmt.pr "packed_cells: %d@." st.Gg_tablegen.Packed.packed_cells
 
 (* -- the ops plane: top + trace-merge ------------------------------------- *)
 
@@ -608,14 +605,14 @@ let () =
                   ~doc:
                     "Remove every target's cached tables for this grammar and \
                      evict stale entries (tables whose target or grammar \
-                     digest no longer matches, specialized tables whose \
+                     digest no longer matches, profiled tables whose \
                      profile is not kept live with $(b,--profile), orphaned \
                      temp files), reporting each eviction.")
           $ Arg.(
               value & opt_all file []
               & info [ "profile" ] ~docv:"FILE"
                   ~doc:
-                    "With $(b,--clear): keep specialized entries whose \
+                    "With $(b,--clear): keep profiled entries whose \
                      profile digest matches $(docv) (repeatable)."));
       cmd_of "vocabulary" "The terminal/non-terminal vocabulary (paper Fig. 1)."
         Term.(const vocabulary $ opts_term);
@@ -656,8 +653,8 @@ let () =
                      over the same corpus write byte-identical files.")
           $ verbose_term);
       cmd_of "specialize"
-        "Reshape the packed tables around a heat profile and prove \
-         cell-for-cell parity (profile-guided specialization)."
+        "Pack the tables around a heat profile and prove cell-for-cell \
+         parity (profile-guided specialization)."
         Term.(
           const specialize $ opts_term
           $ Arg.(
@@ -671,13 +668,6 @@ let () =
                   ~doc:"Heat profile from $(b,mdgtool heat --json --out).")
           $ Arg.(
               value
-              & opt float Gg_specialize.Specialize.default_coverage
-              & info [ "coverage" ] ~docv:"SHARE"
-                  ~doc:
-                    "Share of estimated probe heat the hot partition must \
-                     cover.")
-          $ Arg.(
-              value
               & opt (some string) None
               & info [ "dir" ] ~docv:"DIR" ~doc:"Cache directory override.")
           $ Arg.(
@@ -685,7 +675,7 @@ let () =
               & opt (some string) None
               & info [ "out" ] ~docv:"FILE"
                   ~doc:
-                    "Write a ggcg-tables-v3 file to $(docv) instead of the \
+                    "Write a ggcg-tables-v4 file to $(docv) instead of the \
                      table cache."));
       cmd_of "file"
         "Statistics for an external .mdg machine description file."

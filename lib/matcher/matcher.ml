@@ -2,6 +2,7 @@ open Import
 module Profile = Gg_profile.Profile
 module Trace = Gg_profile.Trace
 module Metrics = Gg_profile.Metrics
+module Packed = Gg_tablegen.Packed
 
 type 'a callbacks = {
   on_shift : Termname.token -> 'a;
@@ -50,9 +51,11 @@ let scratch_key =
 let run_with ?(trace = false) ~(g : Grammar.t) ~eof
     ~(intern : string -> int) ~(code : int -> int -> int)
     ~(tie : int -> int array) ~(goto : int -> int -> int)
-    ~(expected : int -> int list) cb tokens =
+    ~(expected : int -> int list) ~split cb tokens =
   let ctrs = Profile.counters () in
   let reds0 = ctrs.Profile.reduces in
+  let shifts0 = ctrs.Profile.shifts in
+  let cold0 = if split && !Metrics.enabled then Packed.cold_probes () else 0 in
   let t0 = if !Metrics.enabled then Trace.now_us () else 0. in
   let n = List.length tokens in
   (* the parse stack; stack depth is bounded by the number of shifts,
@@ -239,17 +242,27 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
     Metrics.observe Metrics.tree_match_us
       (int_of_float (Trace.now_us () -. t0));
     Metrics.observe Metrics.tree_reductions (ctrs.Profile.reduces - reds0);
-    Metrics.observe Metrics.stack_high_water !hw
+    Metrics.observe Metrics.stack_high_water !hw;
+    if split then begin
+      (* every probe ends in one shift, one reduce or the accept *)
+      let probes =
+        ctrs.Profile.shifts - shifts0 + (ctrs.Profile.reduces - reds0) + 1
+      in
+      let cold = Packed.cold_probes () - cold0 in
+      Metrics.incr ~by:(probes - cold) "matcher.probe_hits_hot";
+      Metrics.incr ~by:cold "matcher.probe_hits_cold"
+    end
   end;
   { value; trace = List.rev !steps }
 
-(* The pre-optimisation loop: a (state, value) list stack and a symtab
-   lookup per action.  Kept verbatim as the baseline the optimised loop
-   is differentially tested against (suite_parallel) and measured
-   against (the THRU benchmark); not a production path. *)
+(* The pre-optimisation loop: a (state, value) list stack, a symtab
+   lookup and a decoded [Tables.action] per action.  Kept as the
+   baseline the optimised loop is differentially tested against
+   (suite_parallel) and measured against (the THRU benchmark); not a
+   production path. *)
 let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
-    ~(action : int -> int -> Tables.action) ~(goto : int -> int -> int)
-    ~(expected : int -> int list) cb tokens =
+    ~(code : int -> int -> int) ~(tie : int -> int array)
+    ~(goto : int -> int -> int) ~(expected : int -> int list) cb tokens =
   let ctrs = Profile.counters () in
   let tokens = Array.of_list tokens in
   let n = Array.length tokens in
@@ -295,7 +308,7 @@ let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
              expected = expected_names !state;
            });
     let a = term_id i in
-    match action !state a with
+    match Packed.decode tie (code !state a) with
     | Tables.Shift s' ->
       ctrs.Profile.shifts <- ctrs.Profile.shifts + 1;
       record (Sshift tokens.(i).Termname.term);
@@ -367,12 +380,12 @@ let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
 type engine = {
   eng_grammar : Grammar.t;
   eng_eof : int;
-  eng_action : int -> int -> Tables.action;
   eng_code : int -> int -> int;
   eng_tie : int -> int array;
   eng_goto : int -> int -> int;
   eng_expected : int -> int list;
   eng_intern : string -> int;
+  eng_split : bool;
 }
 
 (* Terminal interning with a small direct-mapped cache in front of the
@@ -398,57 +411,46 @@ let interner symtab =
 let engine (tables : Tables.t) =
   (* encode once at construction so the dense engine shares the
      allocation-free hot loop with the packed one *)
-  let codes, aux = Gg_tablegen.Packed.encode_table tables in
+  let codes, aux = Packed.encode_table tables in
   let g = Tables.grammar tables in
   {
     eng_grammar = g;
     eng_eof = Tables.eof tables;
-    eng_action = (fun s a -> tables.Tables.action.(s).(a));
     eng_code = (fun s a -> codes.(s).(a));
     eng_tie = (fun i -> aux.(i));
     eng_goto = (fun s n -> tables.Tables.goto_.(s).(n));
     eng_expected = Tables.expected tables;
     eng_intern = interner g.Grammar.symtab;
+    eng_split = false;
   }
 
-let packed_engine ~grammar (packed : Gg_tablegen.Packed.t) =
+let packed_engine ~grammar (packed : Packed.t) =
   let g : Grammar.t = grammar in
   (* eta-expanded on purpose: a partial application would compile to an
      arity-1 curry chain, costing two indirect calls per table probe in
-     the hot loop; these are direct arity-2 closures.  [eng_action] is
-     off the production path (it drives {!run_engine_reference} only)
-     and keeps its historical shape. *)
+     the hot loop; these are direct arity-2 closures *)
   {
     eng_grammar = g;
     eng_eof = Symtab.n_terms g.Grammar.symtab;
-    eng_action = Gg_tablegen.Packed.action packed;
-    eng_code = (fun s a -> Gg_tablegen.Packed.action_code packed s a);
-    eng_tie = (fun i -> Gg_tablegen.Packed.tie_candidates packed i);
-    eng_goto = (fun s n -> Gg_tablegen.Packed.goto packed s n);
-    eng_expected = (fun s -> Gg_tablegen.Packed.expected packed s);
+    eng_code = (fun s a -> Packed.action_code packed s a);
+    eng_tie = (fun i -> Packed.tie_candidates packed i);
+    eng_goto = (fun s n -> Packed.goto packed s n);
+    eng_expected = (fun s -> Packed.expected packed s);
     eng_intern = interner g.Grammar.symtab;
+    eng_split = Array.length packed.Packed.cold_off > 0;
   }
 
 let run_engine ?trace e cb tokens =
   run_with ?trace ~g:e.eng_grammar ~eof:e.eng_eof ~intern:e.eng_intern
     ~code:e.eng_code ~tie:e.eng_tie ~goto:e.eng_goto
-    ~expected:e.eng_expected cb tokens
+    ~expected:e.eng_expected ~split:e.eng_split cb tokens
 
 let run_engine_reference ?trace e cb tokens =
-  run_with_reference ?trace ~g:e.eng_grammar ~eof:e.eng_eof
-    ~action:e.eng_action ~goto:e.eng_goto ~expected:e.eng_expected cb tokens
+  run_with_reference ?trace ~g:e.eng_grammar ~eof:e.eng_eof ~code:e.eng_code
+    ~tie:e.eng_tie ~goto:e.eng_goto ~expected:e.eng_expected cb tokens
 
 let run_tree_engine ?trace ?special_constants e cb tree =
   run_engine ?trace e cb (Termname.linearize ?special_constants tree)
-
-let run ?trace (tables : Tables.t) cb tokens =
-  run_engine ?trace (engine tables) cb tokens
-
-let run_packed ?trace (packed : Gg_tablegen.Packed.t) ~grammar cb tokens =
-  run_engine ?trace (packed_engine ~grammar packed) cb tokens
-
-let run_tree ?trace ?special_constants tables cb tree =
-  run ?trace tables cb (Termname.linearize ?special_constants tree)
 
 let pp_step g ppf = function
   | Sshift name -> Fmt.pf ppf "shift  %s" name

@@ -45,13 +45,10 @@ type 'a outcome = { value : 'a; trace : step list }
 type engine = {
   eng_grammar : Grammar.t;
   eng_eof : int;  (** terminal index of the end marker *)
-  eng_action : int -> int -> Tables.action;
-      (** decoded view; drives {!run_engine_reference} *)
   eng_code : int -> int -> int;
-      (** the same cell as an integer code
-          ({!Gg_tablegen.Packed.action_code}'s encoding); drives the
-          production hot loop without allocating a [Tables.action] per
-          probe *)
+      (** an action cell as an integer code
+          ({!Gg_tablegen.Packed.action_code}'s encoding); drives the hot
+          loop without allocating a [Tables.action] per probe *)
   eng_tie : int -> int array;
       (** candidate productions of semantic tie [i] in the codes *)
   eng_goto : int -> int -> int;
@@ -61,16 +58,14 @@ type engine = {
       (** terminal id of a token name, [-1] if unknown; a
           pointer-equality cache over {!Gg_grammar.Symtab.term_id},
           safe to share between domains *)
+  eng_split : bool;
+      (** the packed tables keep cold states: when
+          {!Gg_profile.Metrics.enabled}, each completed run adds its
+          probes to the named counters [matcher.probe_hits_hot] and
+          [matcher.probe_hits_cold] *)
 }
 
 val engine : Tables.t -> engine
-
-(** The terminal interner the built-in engines use: a small
-    direct-mapped pointer cache in front of {!Gg_grammar.Symtab.term_id},
-    safe to share between domains.  Exposed so external table
-    representations (the profile-guided specializer) can build engines
-    with the same per-token lookup cost as {!packed_engine}. *)
-val interner : Gg_grammar.Symtab.t -> string -> int
 
 (** The packed engine is behaviourally identical to the dense one,
     including error positions and expected sets (see
@@ -90,7 +85,8 @@ val run_engine :
   ?trace:bool -> engine -> 'a callbacks -> Termname.token list -> 'a outcome
 
 (** The pre-optimisation shift/reduce loop — a [(state, value)] list
-    stack with a symtab lookup per action.  Behaviourally identical to
+    stack with a symtab lookup and a decoded [Tables.action] per
+    action.  Behaviourally identical to
     {!run_engine} (same values, traces and rejects), with one caveat:
     the loop backstop here budgets every action where {!run_engine}
     budgets reductions only, so on a runaway chain-rule loop both
@@ -105,29 +101,6 @@ val run_tree_engine :
   ?trace:bool ->
   ?special_constants:bool ->
   engine ->
-  'a callbacks ->
-  Tree.t ->
-  'a outcome
-
-(** [run tables] = [run_engine (engine tables)]. *)
-val run :
-  ?trace:bool -> Tables.t -> 'a callbacks -> Termname.token list -> 'a outcome
-
-(** [run_packed packed ~grammar] =
-    [run_engine (packed_engine ~grammar packed)]. *)
-val run_packed :
-  ?trace:bool ->
-  Gg_tablegen.Packed.t ->
-  grammar:Grammar.t ->
-  'a callbacks ->
-  Termname.token list ->
-  'a outcome
-
-(** [run_tree tables] = [run_tree_engine (engine tables)]. *)
-val run_tree :
-  ?trace:bool ->
-  ?special_constants:bool ->
-  Tables.t ->
   'a callbacks ->
   Tree.t ->
   'a outcome

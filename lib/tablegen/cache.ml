@@ -13,17 +13,17 @@ let default_dir () =
         Filename.concat (Filename.concat h ".cache") "ggcg"
       | _ -> Filename.concat (Filename.get_temp_dir_name ()) "ggcg-cache"))
 
-let path ?dir ?(target = "vax") (g : Grammar.t) =
+(* profiled tables are keyed by the profile digest on top of the
+   (target, grammar digest) key, so one grammar can keep one entry per
+   workload profile *)
+let entry_path ?dir ?(target = "vax") profile_digest (g : Grammar.t) =
   let dir = match dir with Some d -> d | None -> default_dir () in
-  Filename.concat dir (Fmt.str "tables-%s-%s.tbl" target (Grammar.digest g))
-
-(* specialized tables are keyed by the profile digest on top of the
-   baseline (target, grammar digest) key, so one grammar can keep one
-   specialized entry per workload profile *)
-let spec_path ?dir ?(target = "vax") ~profile_digest (g : Grammar.t) =
-  let dir = match dir with Some d -> d | None -> default_dir () in
+  let p = match profile_digest with Some d -> "-p" ^ d | None -> "" in
   Filename.concat dir
-    (Fmt.str "tables-%s-%s-p%s.tbl" target (Grammar.digest g) profile_digest)
+    (Fmt.str "tables-%s-%s%s.tbl" target (Grammar.digest g) p)
+
+let path ?dir ?target ?profile g =
+  entry_path ?dir ?target (Option.map Heat.digest profile) g
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -31,16 +31,19 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let load ?dir ?target (g : Grammar.t) =
-  let file = path ?dir ?target g in
+let load ?dir ?target ?profile (g : Grammar.t) =
+  let file = path ?dir ?target ?profile g in
   if not (Sys.file_exists file) then None
   else
-    match Gg_profile.Trace.phase "tables.load" (fun () -> Packed.load g file) with
+    match
+      Gg_profile.Trace.phase "tables.load" (fun () ->
+          Packed.load ?profile g file)
+    with
     | t -> Some t
     | exception (Failure _ | Sys_error _) -> None
 
 let store ?dir ?target (g : Grammar.t) (t : Packed.t) =
-  let file = path ?dir ?target g in
+  let file = entry_path ?dir ?target t.Packed.profile_digest g in
   try
     mkdir_p (Filename.dirname file);
     (* write-then-rename so concurrent compiles never see a torn file *)
@@ -52,8 +55,23 @@ let store ?dir ?target (g : Grammar.t) (t : Packed.t) =
     true
   with Sys_error _ -> false
 
-let build (g : Grammar.t) =
-  Gg_profile.Trace.phase "tables.build" (fun () -> Packed.pack (Tables.build g))
+(* A profiled layout is proven cell-for-cell against the dense tables
+   before anything uses or caches it; the profile-free layout is the
+   one the test suite proves. *)
+let build ?profile (g : Grammar.t) =
+  match profile with
+  | None ->
+    Gg_profile.Trace.phase "tables.build" (fun () ->
+        Packed.pack (Tables.build g))
+  | Some profile ->
+    let dense =
+      Gg_profile.Trace.phase "tables.build" (fun () -> Tables.build g)
+    in
+    Gg_profile.Trace.phase "tables.specialize" (fun () ->
+        let t = Packed.pack ~profile dense in
+        match Packed.verify t dense with
+        | Ok () -> t
+        | Error m -> Fmt.failwith "profiled tables failed verification: %s" m)
 
 let file_size file =
   match open_in_bin file with
@@ -63,8 +81,8 @@ let file_size file =
     n
   | exception Sys_error _ -> 0
 
-(* [tables-<target>-<digest>.tbl] is a baseline entry;
-   [tables-<target>-<digest>-p<digest>.tbl] a specialized one.  Parsed
+(* [tables-<target>-<digest>.tbl] is a profile-free entry;
+   [tables-<target>-<digest>-p<digest>.tbl] a profiled one.  Parsed
    from the filename alone so listing and eviction never open files. *)
 type entry = {
   e_file : string;
@@ -126,7 +144,7 @@ let clear_stale ?dir ?live_profiles (live : (string * Grammar.t) list) =
          let stale_tbl =
            match parse_name name with
            | Some (target, gdigest, Some pdigest) ->
-             (* a specialized entry is stale if its grammar is, or —
+             (* a profiled entry is stale if its grammar is, or —
                 when the caller declared which profiles are live — if
                 its profile is not one of them *)
              (not (List.mem (target, gdigest) live_keys))
@@ -152,14 +170,14 @@ let clear_stale ?dir ?live_profiles (live : (string * Grammar.t) list) =
            | exception Sys_error _ -> None)
   |> List.sort compare
 
-let load_or_build ?dir ?target (g : Grammar.t) =
+let load_or_build ?dir ?target ?profile (g : Grammar.t) =
   let ctrs = Profile.counters () in
-  match load ?dir ?target g with
+  match load ?dir ?target ?profile g with
   | Some t ->
     ctrs.Profile.cache_hits <- ctrs.Profile.cache_hits + 1;
     t
   | None ->
     ctrs.Profile.cache_misses <- ctrs.Profile.cache_misses + 1;
-    let t = build g in
+    let t = build ?profile g in
     ignore (store ?dir ?target g t);
     t

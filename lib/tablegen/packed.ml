@@ -32,11 +32,15 @@ type t = {
   n_nonterms : int;
   n_states : int;
   grammar_digest : string;  (* Grammar.digest of the source grammar *)
+  profile_digest : string option;  (* Heat.digest of the layout profile *)
   defaults : int array;  (* encoded default reduce per state; 0 = none *)
   valid : Bytes.t;  (* bitset: 1 = the dense action cell is non-Error *)
-  act_base : int array;
+  act_base : int array;  (* >= 0: comb displacement; -1: cold state *)
   act_check : int array;
   act_value : int array;
+  cold_off : int array;  (* n_states + 1 offsets into cold_col/val, or [||] *)
+  cold_col : int array;  (* per cold state, exception columns ascending *)
+  cold_val : int array;
   goto_base : int array;
   goto_check : int array;
   goto_value : int array;  (* target + 1; 0 = none *)
@@ -133,9 +137,8 @@ let comb_pack ?(keep_order = false) ~width ~n_states rows =
 
 (* Everything [pack] computes before the comb layout is laid down:
    validity bits, default reductions, exception rows and the tie
-   arrays.  The specializer ({!Gg_specialize}) starts from the same
-   preparation so its cells decode identically to the packed (and hence
-   the dense) table's, whatever layout it chooses. *)
+   arrays.  Every layout [pack] chooses stores these same cells, so it
+   decodes identically to the dense table whatever the profile. *)
 type prepared = {
   p_n_terms : int;
   p_n_nonterms : int;
@@ -226,62 +229,225 @@ let prepare (tables : Tables.t) =
     p_aux = tie_arrays ties;
   }
 
-let pack (tables : Tables.t) =
+(* -- the comb order -------------------------------------------------------- *)
+
+(* A profile counts production firings; the table is indexed by state.
+   Credit each state's cells from the profile: a reduce cell carries
+   its productions' counts directly, and a shift cell on terminal [a]
+   carries the counts of every production whose right-hand side
+   mentions [a] — a production cannot fire without first shifting each
+   of its terminals, so shift-only states inherit the heat of the
+   reductions they feed. *)
+let state_heats (tables : Tables.t) (profile : Heat.t) =
+  let g = Tables.grammar tables in
+  let n_prods = Grammar.n_productions g in
+  let prod_heat = Array.make (max 1 n_prods) 0 in
+  List.iter
+    (fun (id, c) ->
+      (* foreign ids (another grammar's profile, a fuzzer) carry no
+         weight here but stay in the profile digest *)
+      if id < n_prods then prod_heat.(id) <- prod_heat.(id) + c)
+    profile.Heat.counts;
+  let nt = Symtab.n_terms g.Grammar.symtab in
+  let term_heat = Array.make (nt + 1) 0 in
+  for p = 0 to n_prods - 1 do
+    if prod_heat.(p) > 0 then
+      Array.iter
+        (function
+          | Symtab.T a -> term_heat.(a) <- term_heat.(a) + prod_heat.(p)
+          | Symtab.N _ -> ())
+        (Grammar.production g p).Grammar.rhs
+  done;
+  Array.map
+    (fun row ->
+      let acc = ref 0 in
+      Array.iteri
+        (fun a cell ->
+          match cell with
+          | Tables.Error | Tables.Accept -> ()
+          | Tables.Shift _ -> acc := !acc + term_heat.(a)
+          | Tables.Reduce candidates ->
+            Array.iter (fun p -> acc := !acc + prod_heat.(p)) candidates)
+        row;
+      !acc)
+    tables.Tables.action
+
+(* the share of estimated probe heat the comb must cover *)
+let coverage = 0.9
+
+(* The states laid into the action comb, in packing order: hottest
+   first, then densest, then by id.  The comb holds the smallest
+   hottest-first prefix covering [coverage] of the estimated heat, plus
+   state 0 (every parse starts there).  With no usable heat every heat
+   is 0, so every state is in the comb and the order is densest-first,
+   the profile-free layout. *)
+let comb_order heats (rows : (int * int) list array) =
+  let n = Array.length heats in
+  let total = Array.fold_left ( + ) 0 heats in
+  let in_comb = Array.make n (total = 0) in
+  if total > 0 then begin
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare heats.(b) heats.(a)) order;
+    let target =
+      int_of_float (ceil (coverage *. float_of_int total)) |> max 1
+    in
+    let acc = ref 0 in
+    Array.iter
+      (fun s ->
+        if !acc < target && heats.(s) > 0 then begin
+          acc := !acc + heats.(s);
+          in_comb.(s) <- true
+        end)
+      order;
+    in_comb.(0) <- true
+  end;
+  let density = Array.map List.length rows in
+  List.init n Fun.id
+  |> List.filter (fun s -> in_comb.(s))
+  |> List.sort (fun a b ->
+         match Int.compare heats.(b) heats.(a) with
+         | 0 -> (
+           match Int.compare density.(b) density.(a) with
+           | 0 -> Int.compare a b
+           | c -> c)
+         | c -> c)
+
+(* the per-state action rows, and the comb order over them *)
+let rows_and_order ?profile (tables : Tables.t) p =
+  let n = p.p_n_states in
+  let rows = Array.make n [] in
+  List.iter (fun (s, entries) -> rows.(s) <- entries) p.p_act_rows;
+  let heats =
+    match profile with
+    | None -> Array.make n 0
+    | Some profile -> state_heats tables profile
+  in
+  (rows, comb_order heats rows)
+
+let comb_states ?profile tables =
+  snd (rows_and_order ?profile tables (prepare tables))
+
+let pack ?profile (tables : Tables.t) =
   let p = prepare tables in
+  let n = p.p_n_states in
+  let rows, order = rows_and_order ?profile tables p in
   let act_base, act_check, act_value =
-    comb_pack ~width:p.p_width ~n_states:p.p_n_states p.p_act_rows
+    comb_pack ~keep_order:true ~width:p.p_width ~n_states:n
+      (List.map (fun s -> (s, rows.(s))) order)
+  in
+  (* the states left out of the comb keep their exact exception lists,
+     searched by column: no comb slack, still O(log row) *)
+  let in_comb = Array.make n false in
+  List.iter (fun s -> in_comb.(s) <- true) order;
+  let cold_off, cold_col, cold_val =
+    if List.length order = n then ([||], [||], [||])
+    else begin
+      let off = Array.make (n + 1) 0 in
+      let cells = ref [] and n_cells = ref 0 in
+      for s = 0 to n - 1 do
+        off.(s) <- !n_cells;
+        if not in_comb.(s) then begin
+          act_base.(s) <- -1;
+          List.iter
+            (fun cell ->
+              cells := cell :: !cells;
+              incr n_cells)
+            (List.sort compare rows.(s))
+        end
+      done;
+      off.(n) <- !n_cells;
+      let cells = Array.of_list (List.rev !cells) in
+      (off, Array.map fst cells, Array.map snd cells)
+    end
   in
   let goto_base, goto_check, goto_value =
-    comb_pack ~width:p.p_n_nonterms ~n_states:p.p_n_states p.p_goto_rows
+    comb_pack ~width:p.p_n_nonterms ~n_states:n p.p_goto_rows
   in
   {
     n_terms = p.p_n_terms;
     n_nonterms = p.p_n_nonterms;
-    n_states = p.p_n_states;
+    n_states = n;
     grammar_digest = p.p_grammar_digest;
+    profile_digest = Option.map Heat.digest profile;
     defaults = p.p_defaults;
     valid = p.p_valid;
     act_base;
     act_check;
     act_value;
+    cold_off;
+    cold_col;
+    cold_val;
     goto_base;
     goto_check;
     goto_value;
     aux = p.p_aux;
   }
 
-let decode t code =
+(* -- lookups --------------------------------------------------------------- *)
+
+let decode tie code =
   if code = 0 then Tables.Error
   else if code = 3 then Tables.Accept
   else
     match code land 3 with
     | 1 -> Tables.Shift (code lsr 2)
     | 2 -> Tables.Reduce [| code lsr 2 |]
-    | 3 -> Tables.Reduce t.aux.((code lsr 2) - 1)
+    | 3 -> Tables.Reduce (tie ((code lsr 2) - 1))
     | _ -> Tables.Error
 
 let has_action t s a =
   let i = (s * (t.n_terms + 1)) + a in
   Char.code (Bytes.unsafe_get t.valid (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-(* act_check and act_value (and the goto pair) are trimmed to the same
-   length, so one range check on [i] covers the unsafe reads of both.
-   The validity probe is [has_action] inlined by hand: this runs once
-   per matcher action and the compiler will not inline it across the
-   call. *)
-let action_code t s a =
+(* The stored cells are never [Error] and never the state's default
+   (see [prepare]), so a comb or cold-list hit is already the answer;
+   only a miss reads the validity bit, which tells an [Error] cell from
+   one the default covers.  [has_action] is inlined by hand: the
+   compiler will not inline it across the call. *)
+let miss_code t s a =
   let b = (s * (t.n_terms + 1)) + a in
   if Char.code (Bytes.unsafe_get t.valid (b lsr 3)) land (1 lsl (b land 7)) = 0
   then 0
-  else
-    let i = t.act_base.(s) + a in
-    if i < 0 || i >= Array.length t.act_check then t.defaults.(s)
-    else if Array.unsafe_get t.act_check i <> s then t.defaults.(s)
-    else Array.unsafe_get t.act_value i
+  else Array.unsafe_get t.defaults s
 
-let action t s a = decode t (action_code t s a)
+(* cold-partition probes taken by each domain; the matcher reads the
+   count before and after a run, so the comb-hit path carries no
+   telemetry *)
+let cold_key = Domain.DLS.new_key (fun () -> ref 0)
+let cold_probes () = !(Domain.DLS.get cold_key)
+
+(* a cold state binary-searches its exception list *)
+let cold_code t s a =
+  incr (Domain.DLS.get cold_key);
+  let lo = ref (Array.unsafe_get t.cold_off s) in
+  let hi = ref (Array.unsafe_get t.cold_off (s + 1)) in
+  let res = ref (-1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = Array.unsafe_get t.cold_col mid in
+    if c = a then begin
+      res := Array.unsafe_get t.cold_val mid;
+      lo := !hi
+    end
+    else if c < a then lo := mid + 1
+    else hi := mid
+  done;
+  if !res >= 0 then !res else miss_code t s a
+
+(* [s] is a state the tables themselves produced, so [act_base] is read
+   unchecked; act_check and act_value have the same length and [a >= 0],
+   so one upper-bound check on [i] covers both comb reads *)
+let action_code t s a =
+  let base = Array.unsafe_get t.act_base s in
+  if base < 0 then cold_code t s a
+  else
+    let i = base + a in
+    if i < Array.length t.act_check && Array.unsafe_get t.act_check i = s then
+      Array.unsafe_get t.act_value i
+    else miss_code t s a
 
 let tie_candidates t i = t.aux.(i)
+let action t s a = decode (tie_candidates t) (action_code t s a)
 
 let encode_table (tables : Tables.t) =
   let ties = ties () in
@@ -298,7 +464,7 @@ let expected t s =
 let digest t = t.grammar_digest
 
 let default_of t s =
-  match decode t t.defaults.(s) with
+  match decode (tie_candidates t) t.defaults.(s) with
   | Tables.Error -> None
   | other -> Some other
 
@@ -308,8 +474,55 @@ let goto t s n =
   else if Array.unsafe_get t.goto_check i <> s then -1
   else Array.unsafe_get t.goto_value i - 1
 
+(* -- the parity proof ------------------------------------------------------ *)
+
+let pp_act ppf = function
+  | Tables.Error -> Fmt.string ppf "error"
+  | Tables.Accept -> Fmt.string ppf "accept"
+  | Tables.Shift s -> Fmt.pf ppf "shift %d" s
+  | Tables.Reduce ps -> Fmt.pf ppf "reduce %a" Fmt.(array ~sep:comma int) ps
+
+let verify t (tables : Tables.t) =
+  let g = Tables.grammar tables in
+  let exception Mismatch of string in
+  try
+    if t.grammar_digest <> Grammar.digest g then
+      raise
+        (Mismatch
+           (Fmt.str "grammar digest %s does not match tables (%s)"
+              t.grammar_digest (Grammar.digest g)));
+    let n = Tables.n_states tables in
+    if t.n_states <> n then
+      raise (Mismatch (Fmt.str "%d states, dense has %d" t.n_states n));
+    for s = 0 to n - 1 do
+      for a = 0 to t.n_terms do
+        let dense = tables.Tables.action.(s).(a) in
+        let packed = action t s a in
+        if packed <> dense then
+          raise
+            (Mismatch
+               (Fmt.str "action(%d, %d): packed %a, dense %a" s a pp_act
+                  packed pp_act dense))
+      done;
+      for nt = 0 to t.n_nonterms - 1 do
+        if goto t s nt <> tables.Tables.goto_.(s).(nt) then
+          raise
+            (Mismatch
+               (Fmt.str "goto(%d, %d): packed %d, dense %d" s nt (goto t s nt)
+                  tables.Tables.goto_.(s).(nt)))
+      done;
+      if expected t s <> Tables.expected tables s then
+        raise (Mismatch (Fmt.str "expected(%d) differs" s))
+    done;
+    Ok ()
+  with Mismatch m -> Error m
+
+(* -- layout statistics ----------------------------------------------------- *)
+
 type stats = {
   states : int;
+  hot_states : int;
+  cold_entries : int;
   dense_cells : int;
   packed_cells : int;
   dense_bytes : int;
@@ -324,10 +537,15 @@ let stats t =
     (2 * Array.length t.act_check)
     + (2 * Array.length t.goto_check)
     + (3 * t.n_states) (* the base and default arrays *)
+    + Array.length t.cold_off
+    + (2 * Array.length t.cold_col)
     + ((Bytes.length t.valid + word - 1) / word) (* the validity bitset *)
   in
   {
     states = t.n_states;
+    hot_states =
+      Array.fold_left (fun n b -> if b >= 0 then n + 1 else n) 0 t.act_base;
+    cold_entries = Array.length t.cold_col;
     dense_cells;
     packed_cells;
     dense_bytes = dense_cells * word;
@@ -339,9 +557,14 @@ let pp_stats ppf s =
   Fmt.pf ppf
     "%d states: %d dense cells (%d KB) -> %d packed cells (%d KB), %.2fx"
     s.states s.dense_cells (s.dense_bytes / 1024) s.packed_cells
-    (s.packed_bytes / 1024) s.ratio
+    (s.packed_bytes / 1024) s.ratio;
+  if s.hot_states < s.states then
+    Fmt.pf ppf "; %d states in the comb, %d cold entries" s.hot_states
+      s.cold_entries
 
-let magic = "ggcg-tables-v2"
+(* -- the on-disk format ---------------------------------------------------- *)
+
+let magic = "ggcg-tables-v4"
 
 let save t path =
   let oc = open_out_bin path in
@@ -349,7 +572,7 @@ let save t path =
   Marshal.to_channel oc t [];
   close_out oc
 
-let load (g : Grammar.t) path =
+let load ?profile (g : Grammar.t) path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
@@ -359,7 +582,7 @@ let load (g : Grammar.t) path =
         with End_of_file -> Fmt.failwith "%s: not a ggcg table file" path
       in
       if m <> magic then
-        Fmt.failwith "%s: not a ggcg-tables-v2 file (found %S)" path m;
+        Fmt.failwith "%s: not a %s file (found %S)" path magic m;
       let t : t =
         try Marshal.from_channel ic
         with End_of_file | Failure _ ->
@@ -375,4 +598,13 @@ let load (g : Grammar.t) path =
           "%s: stale tables: built for grammar %s but this grammar is %s \
            (rebuild with mdgtool cache or delete the file)"
           path t.grammar_digest want;
+      (match profile with
+      | Some p when t.profile_digest <> Some (Heat.digest p) ->
+        Fmt.failwith
+          "%s: stale tables: laid out for profile %s but this profile is %s \
+           (re-run mdgtool specialize or delete the file)"
+          path
+          (Option.value ~default:"none" t.profile_digest)
+          (Heat.digest p)
+      | _ -> ());
       t)

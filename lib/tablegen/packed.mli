@@ -19,25 +19,75 @@
     expected sets — the parity Nederhof & Satta require of compact
     tabular representations.
 
-    Lookup stays O(1); {!stats} reports the achieved compression.  The
+    Lookup stays O(1) in the comb; {!stats} reports the achieved
+    compression.  The
     tables embed a {!Gg_grammar.Grammar.digest} of their source grammar
     and {!load} rejects files built from any other grammar, even one
     with identical symbol counts. *)
 
-type t
+(** The one table layout.  A state is either {e in the comb} or
+    {e cold}:
 
-val pack : Tables.t -> t
+    {ul
+    {- [act_base.(s) >= 0]: the state's exception cells sit in the
+       shared [act_check]/[act_value] comb at [act_base.(s) + column],
+       owned when [act_check] holds [s].  The comb is trimmed to its
+       last used slot; there is no padding.}
+    {- [act_base.(s) = -1]: the state is cold; its exception cells are
+       the exact list [cold_col]/[cold_val] between [cold_off.(s)] and
+       [cold_off.(s + 1)], columns ascending, binary-searched on probe.
+       All three arrays are empty when every state is in the comb.}}
+
+    The probe ({!action_code}) reads the comb (or the cold list) first,
+    with one bounds check.  Stored cells are never [Error] and never the
+    state's default, so a hit is the answer; only a miss reads the
+    validity bit, which tells an [Error] cell from one the default
+    covers.
+
+    Without a profile, or with one that has no usable heat, every state
+    is in the comb and the rows are laid down densest-first.  With a
+    heat profile ({!Heat}, from [mdgtool heat --json]) the comb holds
+    the smallest hottest-first set of states covering 90% of the
+    estimated probe heat (after Samuelsson's example-based table
+    optimisation), laid down hottest-first so the working set shares
+    the low slots; every other state is cold and costs no comb slack.
+    Either way the table decodes cell-for-cell like the dense one
+    ({!verify}). *)
+type t = private {
+  n_terms : int;  (** action row width is [n_terms + 1] (eof) *)
+  n_nonterms : int;
+  n_states : int;
+  grammar_digest : string;  (** {!Gg_grammar.Grammar.digest} of the source *)
+  profile_digest : string option;
+      (** {!Heat.digest} of the profile the comb was laid out for *)
+  defaults : int array;  (** encoded default reduce per state; 0 = none *)
+  valid : Bytes.t;  (** bitset: 1 = the dense action cell is non-Error *)
+  act_base : int array;  (** [>= 0]: comb displacement; [-1]: cold *)
+  act_check : int array;
+  act_value : int array;
+  cold_off : int array;
+  cold_col : int array;
+  cold_val : int array;
+  goto_base : int array;  (** the goto comb, densest-first, no cold rows *)
+  goto_check : int array;
+  goto_value : int array;  (** target + 1; 0 = none *)
+  aux : int array array;  (** tie candidate arrays, one per distinct tie *)
+}
+
+(** [pack ?profile tables] lays the tables out as described above.
+    Exact for {e any} profile: the profile only steers the layout. *)
+val pack : ?profile:Heat.t -> Tables.t -> t
+
+(** The states {!pack} lays into the action comb, in packing order:
+    hottest first, then densest, then by id. *)
+val comb_states : ?profile:Heat.t -> Tables.t -> int list
 
 (** The representation-independent half of {!pack}: validity bits,
     default reductions, per-state exception rows (cells whose code
     differs from the state's default) and the tie-candidate arrays.
     Tie candidate arrays are interned — one [p_aux] entry, and so one
     code, per distinct array — and a state's default is its most
-    frequent reduce code, the lowest such code on equal counts.
-    {!pack} lays the rows out densest-first; the profile-guided
-    specializer ({!Gg_specialize.Specialize}) lays the same rows out
-    hottest-first — both decode identically to the dense table because
-    they share this preparation. *)
+    frequent reduce code, the lowest such code on equal counts. *)
 type prepared = {
   p_n_terms : int;
   p_n_nonterms : int;
@@ -63,8 +113,8 @@ val prepare : Tables.t -> prepared
     [b + column] leaves bit [i] clear iff base [b + i] fits; the lowest
     clear bit is the first fit, and an all-ones result moves on to
     [b + 63].  Rows are packed densest-first unless [keep_order] is
-    set, in which case the given order is the packing order (the
-    specializer packs hottest-first so hot rows share cache lines). *)
+    set, in which case the given order is the packing order ({!pack}
+    passes its hottest-first comb order). *)
 val comb_pack :
   ?keep_order:bool ->
   width:int ->
@@ -72,8 +122,8 @@ val comb_pack :
   (int * (int * int) list) list ->
   int array * int array * int array
 
-(** O(1) decoded lookups, equal to the dense table's entries in every
-    cell (including [Error] cells — see above). *)
+(** Decoded lookups, equal to the dense table's entries in every cell
+    (including [Error] cells). *)
 val action : t -> int -> int -> Tables.action
 
 (** The same lookup as an integer code — the matcher's allocation-free
@@ -81,12 +131,22 @@ val action : t -> int -> int -> Tables.action
     shift to state [s], [(p lsl 2) lor 2] reduce by production [p], and
     [((i+1) lsl 2) lor 3] a semantic tie whose candidate productions
     are [tie_candidates t i] (one [i] per distinct candidate array).
-    [action t s a = decode (action_code t s a)] in every cell. *)
+    [action t s a = decode (tie_candidates t) (action_code t s a)] in
+    every cell.  O(1) for states in the comb, O(log row) for cold
+    ones; a cold probe bumps the calling domain's {!cold_probes}. *)
 val action_code : t -> int -> int -> int
+
+(** [decode tie code] — the {!Tables.action} an integer code stands
+    for, [tie i] giving the candidates of tie [i]. *)
+val decode : (int -> int array) -> int -> Tables.action
 
 (** The candidate array of tie [i], in the same order the dense table's
     [Reduce] carries them. *)
 val tie_candidates : t -> int -> int array
+
+(** The number of cold-state probes the calling domain has made, over
+    all tables: a running count, read before and after a matcher run. *)
+val cold_probes : unit -> int
 
 (** Encode a dense table's action matrix into the same integer codes,
     plus the tie-candidate arrays indexed by the codes' [i] — lets the
@@ -110,10 +170,17 @@ val goto : t -> int -> int -> int
     built from. *)
 val digest : t -> string
 
+(** Cell-for-cell parity against the dense tables: every action cell
+    (including [Error]), every goto, every expected set.  [Error _]
+    names the first differing cell. *)
+val verify : t -> Tables.t -> (unit, string) result
+
 type stats = {
   states : int;
+  hot_states : int;  (** states in the comb *)
+  cold_entries : int;  (** exact cold exception cells *)
   dense_cells : int;  (** action + goto cells in the dense tables *)
-  packed_cells : int;  (** slots used by the packed arrays + bitset *)
+  packed_cells : int;  (** slots used by all arrays + the bitset *)
   dense_bytes : int;  (** at one word per cell *)
   packed_bytes : int;
   ratio : float;  (** packed / dense *)
@@ -122,14 +189,16 @@ type stats = {
 val stats : t -> stats
 val pp_stats : stats Fmt.t
 
-(** The [ggcg-tables-v2] on-disk format: magic, then the marshalled
-    tables with the embedded grammar digest.  The tables are built once
-    per target machine, as in the paper, and shipped with (or cached
-    beside) the compiler. *)
+(** The [ggcg-tables-v4] on-disk format: magic, then the marshalled
+    tables with the embedded grammar and profile digests.  The tables
+    are built once per target machine, as in the paper, and shipped
+    with (or cached beside) the compiler. *)
 val save : t -> string -> unit
 
-(** Loads and validates: wrong magic, truncation, symbol-count mismatch
-    and grammar-digest mismatch (an edited grammar with unchanged
-    symbol counts) all raise [Failure] rather than selecting wrong
-    instructions. *)
-val load : Gg_grammar.Grammar.t -> string -> t
+(** Loads and validates: wrong magic (including the older v2 and v3
+    formats), truncation, symbol-count mismatch and grammar-digest
+    mismatch (an edited grammar with unchanged symbol counts) all raise
+    [Failure] rather than selecting wrong instructions.  Passing
+    [profile] also rejects tables laid out for any other profile (or
+    for none). *)
+val load : ?profile:Heat.t -> Gg_grammar.Grammar.t -> string -> t

@@ -30,9 +30,9 @@ let build_tables target gopts =
 let cached_tables ?dir target gopts =
   Driver.cached_tables ?dir ~backend:(backend_of target) gopts
 
-(* Profile-guided specialization (Gg_specialize): the auto profile is
-   the firing heat of the fixed mini-C corpus compiled with this
-   target's own tables — each grammar numbers its productions
+(* Profile-guided layout (Gg_tablegen.Packed ~profile): the auto
+   profile is the firing heat of the fixed mini-C corpus compiled with
+   this target's own tables — each grammar numbers its productions
    differently, so a profile is grammar-specific and must be collected
    per target. *)
 let heat_profile target =
@@ -49,41 +49,18 @@ let heat_profile target =
   let counts = Gg_profile.Profile.production_counts () in
   Gg_profile.Profile.reset_coverage ();
   Gg_profile.Profile.coverage_enabled := saved;
-  Gg_specialize.Heat.of_counts counts
+  Gg_tablegen.Heat.of_counts counts
 
 let specialized_tables ?dir ?(use_cache = true) ~profile target =
   let b = backend_of target in
   let g = Lazy.force b.Backend.default_grammar in
-  let name = Backend.target_name target in
-  let spec =
-    match
-      if use_cache then
-        Gg_specialize.Specialize.cache_load ?dir ~target:name ~profile g
-      else None
-    with
-    | Some t -> t
-    | None ->
-      let dense =
-        Gg_profile.Trace.phase "tables.build" (fun () ->
-            Gg_tablegen.Tables.build g)
-      in
-      let t =
-        Gg_profile.Trace.phase "tables.specialize" (fun () ->
-            Gg_specialize.Specialize.build ~profile dense)
-      in
-      (* never serve an unproven layout: parity is checked before the
-         table is cached or used, so a specializer bug fails loudly
-         here instead of selecting wrong instructions *)
-      (match Gg_specialize.Specialize.verify t dense with
-      | Ok () -> ()
-      | Error m ->
-        Fmt.failwith "specialized %s tables failed verification: %s" name m);
-      if use_cache then
-        ignore (Gg_specialize.Specialize.cache_store ?dir ~target:name g t
-                 : bool);
-      t
+  let packed =
+    if use_cache then
+      Gg_tablegen.Cache.load_or_build ?dir ~target:(name target) ~profile g
+    else Gg_tablegen.Cache.build ~profile g
   in
-  Driver.of_engine ~backend:b (Gg_specialize.Specialize.engine ~grammar:g spec)
+  Driver.of_engine ~backend:b
+    (Gg_matcher.Matcher.packed_engine ~grammar:g packed)
 
 (* the (target name, grammar) pairs a cache eviction must keep *)
 let live_cache_entries gopts =

@@ -34,19 +34,19 @@ val cached_tables :
     compiling the fixed mini-C corpus with the target's own tables.
     Production ids are grammar-specific, so a profile collected for one
     target does not transfer to another. *)
-val heat_profile : Backend.target -> Gg_specialize.Heat.t
+val heat_profile : Backend.target -> Gg_tablegen.Heat.t
 
-(** Tables whose packed layout is specialized around [profile]
-    ({!Gg_specialize.Specialize}): cache-first through the
+(** Tables whose packed layout is laid out around [profile]
+    ({!Gg_tablegen.Packed.pack}): cache-first through the
     (target, grammar digest, profile digest) entry unless [use_cache]
     is false, else built from scratch, {e verified cell-for-cell
     against the dense tables}, and stored.  Raises [Failure] if
-    verification fails — a specializer bug can never select wrong
-    instructions. *)
+    verification fails ({!Gg_tablegen.Cache.build}) — a layout bug can
+    never select wrong instructions. *)
 val specialized_tables :
   ?dir:string ->
   ?use_cache:bool ->
-  profile:Gg_specialize.Heat.t ->
+  profile:Gg_tablegen.Heat.t ->
   Backend.target ->
   Gg_codegen.Driver.tables
 

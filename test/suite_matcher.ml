@@ -10,11 +10,14 @@ module Op = Gg_ir.Op
 module Termname = Gg_ir.Termname
 
 let tables = lazy (Tables.build Toy.grammar)
+let engine = lazy (Matcher.engine (Lazy.force tables))
 
 let run_tree tree =
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  let outcome = Matcher.run_tree ~trace:true (Lazy.force tables) cb tree in
+  let outcome =
+    Matcher.run_tree_engine ~trace:true (Lazy.force engine) cb tree
+  in
   (List.rev !emitted, outcome)
 
 let test_simple_assign () =
@@ -66,7 +69,7 @@ let test_reject_unknown_terminal () =
   in
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match Matcher.run_tree (Lazy.force tables) cb tree with
+  match Matcher.run_tree_engine (Lazy.force engine) cb tree with
   | exception Matcher.Reject _ -> ()
   | _ -> Alcotest.fail "byte tree accepted by long-only grammar"
 
@@ -77,7 +80,7 @@ let test_reject_reports_state_and_expected () =
   in
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match Matcher.run (Lazy.force tables) cb tokens with
+  match Matcher.run_engine (Lazy.force engine) cb tokens with
   | exception Matcher.Reject e ->
     Alcotest.(check int) "at token 0" 0 e.Matcher.at;
     Alcotest.(check (list string)) "expected assign" [ "Assign.l" ]
@@ -93,7 +96,7 @@ let test_reject_on_truncated_input () =
   in
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match Matcher.run (Lazy.force tables) cb tokens with
+  match Matcher.run_engine (Lazy.force engine) cb tokens with
   | exception Matcher.Reject e ->
     Alcotest.(check string) "eof token" "<eof>" e.Matcher.token
   | _ -> Alcotest.fail "truncated input accepted"
@@ -140,7 +143,8 @@ let prop_random_trees_parse =
       let emitted = ref [] in
       let cb = Toy.string_callbacks emitted in
       let _ =
-        Matcher.run_tree ~special_constants:false (Lazy.force tables) cb tree
+        Matcher.run_tree_engine ~special_constants:false (Lazy.force engine)
+          cb tree
       in
       List.length !emitted <= count_ops tree)
 
@@ -151,8 +155,8 @@ let prop_linear_time =
       let emitted = ref [] in
       let cb = Toy.string_callbacks emitted in
       let outcome =
-        Matcher.run_tree ~trace:true ~special_constants:false
-          (Lazy.force tables) cb tree
+        Matcher.run_tree_engine ~trace:true ~special_constants:false
+          (Lazy.force engine) cb tree
       in
       (* each token is shifted once and every reduction consumes stack:
          total steps are bounded by a small multiple of the input *)
@@ -160,8 +164,11 @@ let prop_linear_time =
 
 let test_packed_tables_drive_matcher () =
   (* the comb-packed tables must produce identical emitted sequences *)
-  let dense = Lazy.force tables in
-  let packed = Gg_tablegen.Packed.pack dense in
+  let dense = Lazy.force engine in
+  let packed =
+    Matcher.packed_engine ~grammar:Toy.grammar
+      (Gg_tablegen.Packed.pack (Lazy.force tables))
+  in
   let run_one drive tree =
     let emitted = ref [] in
     let cb = Toy.string_callbacks emitted in
@@ -170,13 +177,11 @@ let test_packed_tables_drive_matcher () =
   in
   List.iter
     (fun tree ->
-      let via_dense = run_one (fun cb t -> Matcher.run_tree dense cb t) tree in
+      let via_dense =
+        run_one (fun cb t -> Matcher.run_tree_engine dense cb t) tree
+      in
       let via_packed =
-        run_one
-          (fun cb t ->
-            Matcher.run_packed packed ~grammar:Toy.grammar cb
-              (Termname.linearize t))
-          tree
+        run_one (fun cb t -> Matcher.run_tree_engine packed cb t) tree
       in
       Alcotest.(check (list string)) "same code" via_dense via_packed)
     [ Toy.assign_tree; Toy.nested_tree ]
@@ -185,8 +190,10 @@ let prop_packed_equals_dense =
   QCheck.Test.make ~name:"packed tables emit the same code" ~count:100
     (QCheck.make random_long_tree)
     (fun tree ->
-      let dense = Lazy.force tables in
-      let packed = Gg_tablegen.Packed.pack dense in
+      let packed =
+        Matcher.packed_engine ~grammar:Toy.grammar
+          (Gg_tablegen.Packed.pack (Lazy.force tables))
+      in
       let run_one drive =
         let emitted = ref [] in
         let cb = Toy.string_callbacks emitted in
@@ -194,10 +201,10 @@ let prop_packed_equals_dense =
         List.rev !emitted
       in
       run_one (fun cb ->
-          Matcher.run_tree ~special_constants:false dense cb tree)
+          Matcher.run_tree_engine ~special_constants:false (Lazy.force engine)
+            cb tree)
       = run_one (fun cb ->
-            Matcher.run_packed packed ~grammar:Toy.grammar cb
-              (Termname.linearize ~special_constants:false tree)))
+            Matcher.run_tree_engine ~special_constants:false packed cb tree))
 
 let suite =
   [

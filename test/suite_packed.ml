@@ -429,8 +429,7 @@ let target_grammar target =
     (Gg_targets.Targets.backend_of target).Gg_codegen.Backend.default_grammar
 
 (* the real rows of both targets, in both packing orders the compiler
-   uses: densest-first (the baseline) and the specializer's
-   hottest-first *)
+   uses: densest-first (profile-free) and hottest-first (profiled) *)
 let test_comb_real_rows () =
   List.iter
     (fun target ->
@@ -439,9 +438,7 @@ let test_comb_real_rows () =
       let p = Packed.prepare t in
       let n_states = p.Packed.p_n_states in
       let hot =
-        Gg_specialize.Specialize.hot_states
-          ~profile:(Gg_targets.Targets.heat_profile target)
-          t
+        Packed.comb_states ~profile:(Gg_targets.Targets.heat_profile target) t
       in
       Alcotest.(check bool)
         (name ^ ": a real hot/cold split") true
@@ -523,6 +520,41 @@ let test_ties_interned () =
         t.Tables.action)
     Gg_targets.Targets.all
 
+(* Without a profile the layout is the densest-first first-fit one the
+   packer has always produced: the six comb arrays of both targets are
+   pinned, and no state is cold. *)
+let test_profile_free_layout_pinned () =
+  List.iter
+    (fun (target, cells, md5) ->
+      let name = Gg_targets.Targets.name target in
+      let t = Packed.pack (Tables.build (target_grammar target)) in
+      let layout =
+        String.concat ";"
+          (List.map
+             (fun a ->
+               String.concat "," (List.map string_of_int (Array.to_list a)))
+             [
+               t.Packed.act_base;
+               t.Packed.act_check;
+               t.Packed.act_value;
+               t.Packed.goto_base;
+               t.Packed.goto_check;
+               t.Packed.goto_value;
+             ])
+      in
+      Alcotest.(check string)
+        (name ^ ": comb arrays") md5
+        (Digest.to_hex (Digest.string layout));
+      Alcotest.(check int)
+        (name ^ ": packed cells") cells
+        (Packed.stats t).Packed.packed_cells;
+      Alcotest.(check int) (name ^ ": no cold states") 0
+        (Array.length t.Packed.cold_off))
+    [
+      (Gg_codegen.Backend.Vax, 103477, "e2eb59c14ead93f167feda5f268e43fe");
+      (Gg_codegen.Backend.Risc, 41412, "d031c648be738c32eb987258bb64b1fb");
+    ]
+
 let suite =
   [
     Alcotest.test_case "VAX action/goto/expected parity" `Quick
@@ -544,6 +576,8 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false prop_comb_first_fit;
     Alcotest.test_case "comb: real rows of both targets, both orders" `Quick
       test_comb_real_rows;
+    Alcotest.test_case "profile-free layout pinned, both targets" `Quick
+      test_profile_free_layout_pinned;
     Alcotest.test_case "ties: interned, decoding to the dense candidates"
       `Quick test_ties_interned;
   ]

@@ -1,15 +1,15 @@
-(* Differential tests for profile-guided table specialization: for any
-   profile — observed, empty, uniform or adversarial — the specialized
-   table must decode cell-for-cell like the dense one, drive the
-   matcher to identical traces and rejects, and compile the corpus to
-   byte-identical assembly on both targets.  Plus the v3 save format,
-   the (grammar, profile)-keyed cache entries, and the hot/cold probe
+(* Differential tests for profile-guided table layout ([Packed.pack
+   ~profile]): for any profile — observed, empty, uniform or
+   adversarial — the profiled table must decode cell-for-cell like the
+   dense one, drive the matcher to identical traces and rejects, and
+   compile the corpus to byte-identical assembly on both targets.  Plus
+   the pinned comb order, the save format, the (grammar, profile)-keyed
+   cache entries, stale-format rejection, and the hot/cold probe
    counters. *)
 
 open Gg_grammar
 open Gg_tablegen
 open Gg_matcher
-open Gg_specialize
 module Tree = Gg_ir.Tree
 module Transform = Gg_transform.Transform
 module Grammar_def = Gg_vax.Grammar_def
@@ -77,13 +77,11 @@ let observed_profile =
      Profile.coverage_enabled := saved;
      Heat.of_counts counts)
 
-let specialized profile =
-  Specialize.build ~profile (Lazy.force dense)
-
+let specialized profile = Packed.pack ~profile (Lazy.force dense)
 let spec_hot = lazy (specialized (Lazy.force observed_profile))
 
 let spec_engine spec =
-  Specialize.engine ~grammar:(Lazy.force vax_grammar) spec
+  Matcher.packed_engine ~grammar:(Lazy.force vax_grammar) spec
 
 let run_outcome engine tokens =
   match Matcher.run_engine ~trace:true engine null_cb tokens with
@@ -113,7 +111,7 @@ let check_same_traces what spec =
     (Lazy.force corpus_tokens)
 
 let test_verify_observed () =
-  match Specialize.verify (Lazy.force spec_hot) (Lazy.force dense) with
+  match Packed.verify (Lazy.force spec_hot) (Lazy.force dense) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "verify: %s" m
 
@@ -123,7 +121,7 @@ let test_traces_observed () =
 let test_traces_empty_profile () =
   (* no heat at all: the degenerate all-hot layout must still be exact *)
   let spec = specialized Heat.empty in
-  (match Specialize.verify spec (Lazy.force dense) with
+  (match Packed.verify spec (Lazy.force dense) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "verify(empty): %s" m);
   check_same_traces "empty profile" spec
@@ -134,7 +132,7 @@ let test_traces_uniform_profile () =
     Heat.of_counts (List.init (Grammar.n_productions g) (fun id -> (id, 1)))
   in
   let spec = specialized uniform in
-  (match Specialize.verify spec (Lazy.force dense) with
+  (match Packed.verify spec (Lazy.force dense) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "verify(uniform): %s" m);
   check_same_traces "uniform profile" spec
@@ -155,7 +153,7 @@ let test_qcheck_adversarial_profiles () =
   let prop raw =
     let profile = Heat.of_counts raw in
     let spec = specialized profile in
-    (match Specialize.verify spec (Lazy.force dense) with
+    (match Packed.verify spec (Lazy.force dense) with
     | Ok () -> ()
     | Error m -> QCheck.Test.fail_reportf "verify: %s" m);
     let se = spec_engine spec in
@@ -207,23 +205,33 @@ let test_spec_bytes_not_larger () =
       let dense = Tables.build g in
       let packed = Packed.pack dense in
       let profile = Targets.heat_profile target in
-      let spec = Specialize.build ~profile dense in
+      let spec = Packed.pack ~profile dense in
       let pb = (Packed.stats packed).Packed.packed_bytes in
-      let sb = (Specialize.stats spec).Specialize.spec_bytes in
+      let sb = (Packed.stats spec).Packed.packed_bytes in
       if sb > pb then
         Alcotest.failf "%s: specialized %d bytes > baseline %d bytes"
           (Targets.name target) sb pb)
     Targets.all
 
 let test_stats_shape () =
-  let s = Specialize.stats (Lazy.force spec_hot) in
-  Alcotest.(check bool) "some states hot" true (s.Specialize.hot_states > 0);
+  let s = Packed.stats (Lazy.force spec_hot) in
+  Alcotest.(check bool) "some states hot" true (s.Packed.hot_states > 0);
   Alcotest.(check bool)
     "not every state hot" true
-    (s.Specialize.hot_states < s.Specialize.states);
-  Alcotest.(check bool)
-    "cold entries exist" true
-    (s.Specialize.cold_entries > 0)
+    (s.Packed.hot_states < s.Packed.states);
+  Alcotest.(check bool) "cold entries exist" true (s.Packed.cold_entries > 0);
+  (* without a profile, or with one carrying no usable heat, every state
+     is in the comb and nothing is cold *)
+  List.iter
+    (fun (what, t) ->
+      let s = Packed.stats t in
+      Alcotest.(check int) (what ^ ": all states in the comb") s.Packed.states
+        s.Packed.hot_states;
+      Alcotest.(check int) (what ^ ": no cold entries") 0 s.Packed.cold_entries)
+    [
+      ("profile-free", Lazy.force packed);
+      ("empty profile", specialized Heat.empty);
+    ]
 
 let test_probe_counters () =
   let was = !Metrics.enabled in
@@ -268,23 +276,22 @@ let test_save_load () =
   let path = Filename.temp_file "spec-tables" ".tbl" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  Specialize.save spec path;
-  let loaded = Specialize.load ~profile:(Lazy.force observed_profile) g path in
-  (match Specialize.verify loaded (Lazy.force dense) with
+  Packed.save spec path;
+  let loaded = Packed.load ~profile:(Lazy.force observed_profile) g path in
+  (match Packed.verify loaded (Lazy.force dense) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "verify after load: %s" m);
-  Alcotest.(check string) "profile digest survives"
-    (Specialize.profile_digest spec)
-    (Specialize.profile_digest loaded);
-  (* a v2 (baseline packed) file must be refused *)
-  Packed.save (Lazy.force packed) path;
-  (match Specialize.load g path with
-  | _ -> Alcotest.fail "loaded a v2 file as v3"
-  | exception Failure _ -> ());
-  (* and a stale-profile load must be refused when a profile is pinned *)
-  Specialize.save spec path;
-  match Specialize.load ~profile:Heat.empty g path with
+  Alcotest.(check (option string))
+    "profile digest survives" spec.Packed.profile_digest
+    loaded.Packed.profile_digest;
+  (* a stale-profile load must be refused when a profile is pinned *)
+  (match Packed.load ~profile:Heat.empty g path with
   | _ -> Alcotest.fail "loaded despite profile digest mismatch"
+  | exception Failure _ -> ());
+  (* and so must profile-free tables *)
+  Packed.save (Lazy.force packed) path;
+  match Packed.load ~profile:(Lazy.force observed_profile) g path with
+  | _ -> Alcotest.fail "loaded profile-free tables as profiled"
   | exception Failure _ -> ()
 
 let with_temp_cache_dir f =
@@ -306,16 +313,20 @@ let test_cache_roundtrip () =
   let g = Lazy.force vax_grammar in
   let profile = Lazy.force observed_profile in
   let spec = Lazy.force spec_hot in
-  Alcotest.(check bool) "store" true
-    (Specialize.cache_store ~dir ~target:"vax" g spec);
-  (match Specialize.cache_load ~dir ~target:"vax" ~profile g with
+  Alcotest.(check bool) "store" true (Cache.store ~dir ~target:"vax" g spec);
+  (match Cache.load ~dir ~target:"vax" ~profile g with
   | Some t ->
-    Alcotest.(check string) "profile digest" (Heat.digest profile)
-      (Specialize.profile_digest t)
+    Alcotest.(check (option string))
+      "profile digest"
+      (Some (Heat.digest profile))
+      t.Packed.profile_digest
   | None -> Alcotest.fail "cache miss after store");
-  (* a different profile misses: the digest is part of the key *)
-  match Specialize.cache_load ~dir ~target:"vax" ~profile:Heat.empty g with
+  (* a different profile, or none, misses: the digest is part of the key *)
+  (match Cache.load ~dir ~target:"vax" ~profile:Heat.empty g with
   | Some _ -> Alcotest.fail "hit with the wrong profile"
+  | None -> ());
+  match Cache.load ~dir ~target:"vax" g with
+  | Some _ -> Alcotest.fail "profile-free load hit a profiled entry"
   | None -> ()
 
 let test_cache_listing_and_eviction () =
@@ -325,8 +336,8 @@ let test_cache_listing_and_eviction () =
   let spec = Lazy.force spec_hot in
   let packed = Lazy.force packed in
   ignore (Cache.store ~dir ~target:"vax" g packed : bool);
-  ignore (Specialize.cache_store ~dir ~target:"vax" g spec : bool);
-  (* listing tells baseline and specialized entries apart *)
+  ignore (Cache.store ~dir ~target:"vax" g spec : bool);
+  (* listing tells profile-free and profiled entries apart *)
   let entries = Cache.list ~dir () in
   Alcotest.(check int) "two entries" 2 (List.length entries);
   let spec_entries =
@@ -350,10 +361,130 @@ let test_cache_listing_and_eviction () =
   in
   Alcotest.(check int) "stale profile evicted" 1 (List.length removed);
   (* stale grammar: a fresh specialized entry goes too *)
-  ignore (Specialize.cache_store ~dir ~target:"vax" g spec : bool);
+  ignore (Cache.store ~dir ~target:"vax" g spec : bool);
   let removed = Cache.clear_stale ~dir [] in
   Alcotest.(check int) "stale grammar evicts everything" 2
     (List.length removed)
+
+(* The published split is exact: it equals a count taken by wrapping
+   the probe itself, whether the functions are matched on one domain or
+   spread over four. *)
+let test_probe_counters_parallel () =
+  let g = Lazy.force vax_grammar in
+  let spec = Lazy.force spec_hot in
+  let programs =
+    List.map (fun (_, src) -> Sema.compile src) Corpus.fixed_programs
+  in
+  let engine = spec_engine spec in
+  let compile ~jobs engine =
+    List.iter
+      (fun prog ->
+        ignore
+          (Driver.compile_program
+             ~tables:(Driver.of_engine ~backend:Backend.vax engine)
+             ~jobs ~oversubscribe:true prog
+            : Driver.output))
+      programs
+  in
+  let was = !Metrics.enabled in
+  Metrics.enabled := false;
+  let hot = ref 0 and cold = ref 0 in
+  compile ~jobs:1
+    {
+      engine with
+      Matcher.eng_code =
+        (fun s a ->
+          if spec.Packed.act_base.(s) >= 0 then incr hot else incr cold;
+          Packed.action_code spec s a);
+    };
+  let counts jobs =
+    Metrics.enabled := true;
+    Metrics.reset ();
+    compile ~jobs engine;
+    let counters = Metrics.named_counters () in
+    Metrics.enabled := false;
+    Metrics.reset ();
+    let get n = try List.assoc n counters with Not_found -> 0 in
+    (get "matcher.probe_hits_hot", get "matcher.probe_hits_cold")
+  in
+  let j1 = counts 1 in
+  let j4 = counts 4 in
+  Metrics.enabled := was;
+  if !cold = 0 then Alcotest.fail "the corpus never probed a cold state";
+  Alcotest.(check (pair int int)) "-j1 equals the probe count" (!hot, !cold) j1;
+  Alcotest.(check (pair int int)) "-j4 equals the probe count" (!hot, !cold) j4;
+  (* profile-free tables have no cold partition and publish nothing *)
+  Metrics.enabled := true;
+  Metrics.reset ();
+  compile ~jobs:1 (Matcher.packed_engine ~grammar:g (Lazy.force packed));
+  let counters = Metrics.named_counters () in
+  Metrics.reset ();
+  Metrics.enabled := was;
+  Alcotest.(check bool)
+    "profile-free: no split published" false
+    (List.mem_assoc "matcher.probe_hits_hot" counters)
+
+(* The auto profile's comb: the same states, in the same hottest-first
+   order, as the layout's first profiled release chose, on both
+   targets.  A grammar or corpus change that moves it must update the
+   pins deliberately. *)
+let test_auto_profile_comb_pinned () =
+  List.iter
+    (fun (target, n_comb, order_md5) ->
+      let b = Targets.backend_of target in
+      let t = Tables.build (Lazy.force b.Backend.default_grammar) in
+      let order =
+        Packed.comb_states ~profile:(Targets.heat_profile target) t
+      in
+      let name = Targets.name target in
+      Alcotest.(check int) (name ^ ": comb states") n_comb (List.length order);
+      Alcotest.(check string)
+        (name ^ ": comb order") order_md5
+        (Digest.to_hex
+           (Digest.string (String.concat "," (List.map string_of_int order)))))
+    [
+      (Backend.Vax, 255, "495697870456fa3b1c226420c3edbcf4");
+      (Backend.Risc, 97, "ccc909ca82c17551a6564b7228ff97d6");
+    ]
+
+(* Files in the older formats (v2: profile-free, v3: the separate
+   specialized record) must never be unmarshalled as the current record:
+   the cache treats them as misses and overwrites them, and a direct
+   load fails cleanly. *)
+let test_stale_formats_rebuilt () =
+  with_temp_cache_dir @@ fun dir ->
+  let g = Lazy.force vax_grammar in
+  List.iter
+    (fun (magic, profile) ->
+      let path = Cache.path ~dir ~target:"vax" ?profile g in
+      let oc = open_out_bin path in
+      output_string oc magic;
+      Marshal.to_channel oc (3, "stale", [| 1; 2; 3 |]) [];
+      close_out oc;
+      let what = Fmt.str "%s at %s" magic (Filename.basename path) in
+      Alcotest.(check bool)
+        (what ^ ": cache miss") true
+        (Cache.load ~dir ~target:"vax" ?profile g = None);
+      (match Packed.load ?profile g path with
+      | _ -> Alcotest.failf "%s: loaded" what
+      | exception Failure _ -> ());
+      let t = Cache.load_or_build ~dir ~target:"vax" ?profile g in
+      (match Packed.verify t (Lazy.force dense) with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: rebuilt tables: %s" what m);
+      let ic = open_in_bin path in
+      let head = really_input_string ic (String.length "ggcg-tables-v4") in
+      close_in ic;
+      Alcotest.(check string) (what ^ ": overwritten") "ggcg-tables-v4" head;
+      Alcotest.(check bool)
+        (what ^ ": now a hit") true
+        (Cache.load ~dir ~target:"vax" ?profile g <> None))
+    [
+      ("ggcg-tables-v2", None);
+      ("ggcg-tables-v3", None);
+      ("ggcg-tables-v2", Some (Lazy.force observed_profile));
+      ("ggcg-tables-v3", Some (Lazy.force observed_profile));
+    ]
 
 let suite =
   [
@@ -370,9 +501,15 @@ let suite =
       test_spec_bytes_not_larger;
     Alcotest.test_case "stats shape" `Quick test_stats_shape;
     Alcotest.test_case "hot/cold probe counters" `Quick test_probe_counters;
+    Alcotest.test_case "hot/cold probe counters exact at -j1 and -j4" `Quick
+      test_probe_counters_parallel;
+    Alcotest.test_case "auto profile: pinned comb order, both targets" `Quick
+      test_auto_profile_comb_pinned;
     Alcotest.test_case "heat profile canonicalisation" `Quick
       test_heat_canonical;
-    Alcotest.test_case "v3 save/load validation" `Quick test_save_load;
+    Alcotest.test_case "profiled save/load validation" `Quick test_save_load;
+    Alcotest.test_case "v2/v3 files rejected and rebuilt" `Quick
+      test_stale_formats_rebuilt;
     Alcotest.test_case "cache round trip" `Quick test_cache_roundtrip;
     Alcotest.test_case "cache listing and eviction" `Quick
       test_cache_listing_and_eviction;
