@@ -97,49 +97,81 @@ let load_heat path =
 
 let max_rounds = 16
 
+(* [Array.of_list] seeded with an immediate: a long array created with
+   a young first element makes the runtime run a minor collection
+   first *)
+let array_of_list seed l =
+  let a = Array.make (List.length l) seed in
+  List.iteri (Array.unsafe_set a) l;
+  a
+
+let bits = Liveness.Bits.bits
+
 let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
     ~(vinfo : Regmgr.vreg_summary) ~(heat : (int * int) list)
     ~(prov : (int * int list * string) list) (insns0 : Insn.t list) =
   let ra = backend.Backend.regalloc in
   let move = Option.value backend.Backend.move ~default:Regmgr.default_move in
-  let move_mnemonics = probe_move_mnemonics move in
   let is_jump = is_jump_fn backend in
+  let mn =
+    Liveness.mnemonics ~ra ~move_mnemonics:(probe_move_mnemonics move) ~is_jump
+  in
   let vbase = vinfo.Regmgr.vs_base in
   let have_prov = prov <> [] in
-  (* growable per-vreg metadata (spill rewriting mints fresh temps) *)
+  (* per-vreg metadata, growing by doubling: spill rewriting mints
+     fresh temps *)
+  let nvregs = ref (Array.length vinfo.Regmgr.vs_types) in
   let types = ref vinfo.Regmgr.vs_types in
   let kinds = ref vinfo.Regmgr.vs_kinds in
   let provs = ref vinfo.Regmgr.vs_prov in
-  let nospill = ref (Array.make (Array.length vinfo.Regmgr.vs_types) false) in
+  let nospill = ref (Array.make !nvregs false) in
   let add_vreg ty p =
-    let v = vbase + Array.length !types in
-    types := Array.append !types [| ty |];
-    kinds := Array.append !kinds [| Regmgr.Vsingle |];
-    provs := Array.append !provs [| p |];
-    nospill := Array.append !nospill [| true |];
-    v
+    let k = !nvregs in
+    if k = Array.length !types then begin
+      let grow a fill =
+        let a' = Array.make ((2 * k) + 16) fill in
+        Array.blit a 0 a' 0 k;
+        a'
+      in
+      types := grow !types Dtype.Long;
+      kinds := grow !kinds Regmgr.Vsingle;
+      provs := grow !provs (0, []);
+      nospill := grow !nospill false
+    end;
+    (!types).(k) <- ty;
+    (!kinds).(k) <- Regmgr.Vsingle;
+    (!provs).(k) <- p;
+    (!nospill).(k) <- true;
+    nvregs := k + 1;
+    vbase + k
   in
-  let insns = ref (Array.of_list insns0) in
-  let prov_a = ref (Array.of_list prov) in
+  let no_prov = (0, [], "") in
+  let insns = ref (array_of_list Insn.Ret insns0) in
+  let prov_a = ref (array_of_list no_prov prov) in
   let st_coalesced = ref 0 in
   let st_self_moves = ref 0 in
   let st_spilled = ref 0 in
   let st_stores = ref 0 in
   let st_reloads = ref 0 in
   let bank_mask = List.fold_left (fun a p -> a lor (1 lsl p)) 0 bank in
-  let sorted_bank = List.sort compare bank in
+  let sorted_bank = Array.of_list (List.sort compare bank) in
   let result = ref None in
   let round = ref 0 in
   while !result = None do
     incr round;
     if !round > max_rounds then
       failwith "register allocator: coloring failed to converge";
-    let nv = Array.length !types in
-    let lv =
-      Liveness.analyze ~ra ~is_jump ~vbase ~nvregs:nv !insns
-    in
-    let g = Interference.build ~move_mnemonics ~heat ~prov:!prov_a lv in
+    let nv = !nvregs in
+    let lv = Liveness.analyze mn ~vbase ~nvregs:nv !insns in
+    let g = Interference.build ~heat ~prov:!prov_a lv in
+    let kinds = !kinds in
     (* -- coalescing: union-find over virtual-register nodes ------------- *)
+    (* Each class's members are a linked list in merge order ([mnext],
+       -1 ends it; [mlast] is a representative's last member).  The
+       interference rows are the working copy: merging ORs the lost
+       class's row into the kept one, so a representative's row is the
+       union of its members' neighbours, over original node ids. *)
+    let words = g.Interference.words and rows = g.Interference.rows in
     let parent = Array.init nv (fun i -> i) in
     let rec find i =
       if parent.(i) = i then i
@@ -149,15 +181,24 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
         r
       end
     in
-    let members = Array.init nv (fun i -> [ i ]) in
-    (* neighbour sets per class representative, over original node ids *)
-    let nbr = Array.map Liveness.Bits.copy g.Interference.rows in
-    let interferes_cls a b =
-      List.exists (fun m -> Liveness.Bits.get nbr.(a) m) members.(b)
+    let mnext = Array.make nv (-1) in
+    let mlast = Array.init nv (fun i -> i) in
+    let in_row a m =
+      Array.unsafe_get rows ((a * words) + (m / bits)) land (1 lsl (m mod bits))
+      <> 0
     in
-    let width r = if (!kinds).(r) = Regmgr.Vpair_base then 2 else 1 in
+    let interferes_cls a b =
+      let rec go m = m >= 0 && (in_row a m || go mnext.(m)) in
+      go b
+    in
+    let width r = if kinds.(r) = Regmgr.Vpair_base then 2 else 1 in
     let forbid_cls r =
-      List.fold_left (fun acc m -> acc lor g.Interference.forbid.(m)) 0 members.(r)
+      let acc = ref 0 and m = ref r in
+      while !m >= 0 do
+        acc := !acc lor g.Interference.forbid.(!m);
+        m := mnext.(!m)
+      done;
+      !acc
     in
     (* classes coalesced into a physical register (a register variable
        or a call-result register): colored up front, never simplified,
@@ -166,82 +207,107 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
        shrink anyone's palette, only pin the move ends together. *)
     let pre = Array.make nv (-1) in
     let color_bits r p =
-      (1 lsl p)
-      lor (if (!kinds).(r) = Regmgr.Vpair_base then 1 lsl (p + 1) else 0)
+      (1 lsl p) lor (if kinds.(r) = Regmgr.Vpair_base then 1 lsl (p + 1) else 0)
     in
     let class_color_bits c = if pre.(c) < 0 then 0 else color_bits c pre.(c) in
-    let scratch = Array.make nv false in
-    let neighbor_classes r =
-      let out = ref [] in
-      Liveness.Bits.iter
-        (fun j ->
-          let c = find j in
-          if c <> r && not scratch.(c) then begin
-            scratch.(c) <- true;
-            out := c :: !out
-          end)
-        nbr.(r);
-      List.iter (fun c -> scratch.(c) <- false) !out;
-      List.rev !out
+    (* [collect stamp gen buf len r] appends to [buf] from [len] the
+       classes of r's neighbours other than r not yet stamped [gen], and
+       returns the new length.  Two stamp/buffer pairs, because degrees
+       ([_b]) are taken while a neighbour list ([_a]) is being walked. *)
+    let collect stamp gen buf len r =
+      let len = ref len in
+      let row = r * words in
+      for k = 0 to words - 1 do
+        let w = ref (Array.unsafe_get rows (row + k)) in
+        while !w <> 0 do
+          let low = !w land - !w in
+          let c = find ((k * bits) + Liveness.Bits.bit_index low) in
+          if c <> r && Array.unsafe_get stamp c <> gen then begin
+            Array.unsafe_set stamp c gen;
+            Array.unsafe_set buf !len c;
+            incr len
+          end;
+          w := !w lxor low
+        done
+      done;
+      !len
+    in
+    let stamp_a = Array.make nv 0 and gen_a = ref 0 and buf_a = Array.make nv 0 in
+    let stamp_b = Array.make nv 0 and gen_b = ref 0 and buf_b = Array.make nv 0 in
+    let classes_a r =
+      incr gen_a;
+      collect stamp_a !gen_a buf_a 0 r
     in
     (* forbidden physical registers, including precolored neighbours *)
     let eff_forbid r =
-      List.fold_left
-        (fun acc c -> acc lor class_color_bits c)
-        (forbid_cls r) (neighbor_classes r)
+      let n = classes_a r in
+      let acc = ref (forbid_cls r) in
+      for k = 0 to n - 1 do
+        acc := !acc lor class_color_bits buf_a.(k)
+      done;
+      !acc
     in
     (* usable colors under a forbid mask: singles count free bank regs,
        pairs count disjoint usable rn/rn+1 pairs (so one neighbour color
        of width w kills at most w of them) *)
     let avail_colors r =
-      let forbid = forbid_cls r in
-      let free p = (bank_mask land lnot forbid) land (1 lsl p) <> 0 in
-      if (!kinds).(r) = Regmgr.Vpair_base then begin
-        let k = ref 0 in
+      let usable = bank_mask land lnot (forbid_cls r) in
+      let k = ref 0 in
+      if kinds.(r) = Regmgr.Vpair_base then begin
         let prev = ref (-2) in
-        List.iter
-          (fun p ->
-            if p > !prev + 1 && free p && free (p + 1) then begin
-              incr k;
-              prev := p
-            end)
-          sorted_bank;
-        !k
+        for i = 0 to Array.length sorted_bank - 1 do
+          let p = sorted_bank.(i) in
+          if p > !prev + 1 && (usable lsr p) land 3 = 3 then begin
+            incr k;
+            prev := p
+          end
+        done
       end
-      else List.fold_left (fun k p -> if free p then k + 1 else k) 0 bank
+      else
+        for i = 0 to Array.length sorted_bank - 1 do
+          if (usable lsr sorted_bank.(i)) land 1 = 1 then incr k
+        done;
+      !k
     in
     (* precolored neighbours hold colors outside the bank: they pin
        registers but never shrink a node's palette *)
-    let degree classes =
-      List.fold_left
-        (fun a c -> if pre.(c) >= 0 then a else a + width c)
-        0 classes
+    let deg_of r =
+      incr gen_b;
+      let n = collect stamp_b !gen_b buf_b 0 r in
+      let d = ref 0 in
+      for k = 0 to n - 1 do
+        let c = buf_b.(k) in
+        if pre.(c) < 0 then d := !d + width c
+      done;
+      !d
     in
-    let deg_of r = degree (neighbor_classes r) in
     let briggs_ok a b =
       let k =
         (* conservative: colors available to the merged class *)
         min (avail_colors a) (avail_colors b)
       in
-      let combined =
-        let na = neighbor_classes a and nb = neighbor_classes b in
-        List.sort_uniq compare (na @ nb)
-      in
-      let significant =
-        List.fold_left
-          (fun acc c ->
-            if c = a || c = b || pre.(c) >= 0 then acc
-            else if deg_of c >= avail_colors c then acc + width c
-            else acc)
-          0 combined
-      in
-      significant + width a - 1 < k
+      incr gen_a;
+      let n = collect stamp_a !gen_a buf_a 0 a in
+      let n = collect stamp_a !gen_a buf_a n b in
+      let significant = ref 0 in
+      for i = 0 to n - 1 do
+        let c = buf_a.(i) in
+        if c = a || c = b || pre.(c) >= 0 then ()
+        else if deg_of c >= avail_colors c then
+          significant := !significant + width c
+      done;
+      !significant + width a - 1 < k
     in
     let merge a b =
       let keep = min a b and lose = max a b in
       parent.(lose) <- keep;
-      members.(keep) <- members.(keep) @ members.(lose);
-      Liveness.Bits.union_into ~src:nbr.(lose) ~dst:nbr.(keep);
+      mnext.(mlast.(keep)) <- lose;
+      mlast.(keep) <- mlast.(lose);
+      let rk = keep * words and rl = lose * words in
+      for k = 0 to words - 1 do
+        Array.unsafe_set rows (rk + k)
+          (Array.unsafe_get rows (rk + k) lor Array.unsafe_get rows (rl + k))
+      done;
       pre.(keep) <- max pre.(keep) pre.(lose)
     in
     (* precoloring class [v] to physical [p] is safe when they do not
@@ -250,78 +316,104 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
     let precolor_ok v pm =
       eff_forbid v land pm = 0
       && (pm land bank_mask = 0
-          || List.for_all
-               (fun c ->
-                 pre.(c) >= 0
-                 || forbid_cls c land pm <> 0
-                 || deg_of c < avail_colors c)
-               (neighbor_classes v))
+         ||
+         let n = classes_a v in
+         let rec all i =
+           i >= n
+           ||
+           let c = buf_a.(i) in
+           (pre.(c) >= 0 || forbid_cls c land pm <> 0 || deg_of c < avail_colors c)
+           && all (i + 1)
+         in
+         all 0)
     in
-    List.iter
-      (fun (_, ns, nd) ->
-        let virt n = n >= Liveness.nphys in
-        match (virt ns, virt nd) with
-        | true, true ->
-          let a = find (ns - Liveness.nphys)
-          and b = find (nd - Liveness.nphys) in
-          let pre_compat =
-            if pre.(a) >= 0 && pre.(b) >= 0 then pre.(a) = pre.(b)
-            else if pre.(a) >= 0 then eff_forbid b land color_bits a pre.(a) = 0
-            else if pre.(b) >= 0 then eff_forbid a land color_bits b pre.(b) = 0
-            else true
-          in
-          if
-            a <> b
-            && (!kinds).(a) = (!kinds).(b)
-            && pre_compat
-            && not (interferes_cls a b)
-            && briggs_ok a b
-          then begin
-            merge a b;
-            incr st_coalesced
-          end
-        | true, false | false, true ->
-          let v = find ((if virt ns then ns else nd) - Liveness.nphys) in
-          let p = if virt ns then nd else ns in
-          let pm = color_bits v p in
-          if
-            pre.(v) < 0
-            && ((!kinds).(v) <> Regmgr.Vpair_base || p + 1 < Liveness.nphys)
-            && precolor_ok v pm
-          then begin
-            pre.(v) <- p;
-            incr st_coalesced
-          end
-        | false, false -> ())
-      g.Interference.moves;
+    let moves = g.Interference.moves in
+    for k = 0 to Interference.nmoves g - 1 do
+      let ns = moves.((3 * k) + 1) and nd = moves.((3 * k) + 2) in
+      let virt n = n >= Liveness.nphys in
+      match (virt ns, virt nd) with
+      | true, true ->
+        let a = find (ns - Liveness.nphys) and b = find (nd - Liveness.nphys) in
+        let pre_compat () =
+          if pre.(a) >= 0 && pre.(b) >= 0 then pre.(a) = pre.(b)
+          else if pre.(a) >= 0 then eff_forbid b land color_bits a pre.(a) = 0
+          else if pre.(b) >= 0 then eff_forbid a land color_bits b pre.(b) = 0
+          else true
+        in
+        if
+          a <> b
+          && kinds.(a) = kinds.(b)
+          && pre_compat ()
+          && (not (interferes_cls a b))
+          && briggs_ok a b
+        then begin
+          merge a b;
+          incr st_coalesced
+        end
+      | true, false | false, true ->
+        let v = find ((if virt ns then ns else nd) - Liveness.nphys) in
+        let p = if virt ns then nd else ns in
+        let pm = color_bits v p in
+        if
+          pre.(v) < 0
+          && (kinds.(v) <> Regmgr.Vpair_base || p + 1 < Liveness.nphys)
+          && precolor_ok v pm
+        then begin
+          pre.(v) <- p;
+          incr st_coalesced
+        end
+      | false, false -> ()
+    done;
     (* -- simplify ------------------------------------------------------- *)
     (* The class graph is fixed from here on, so each representative's
-       neighbour classes, palette size and spill cost are computed once.
-       Its active degree (the widths of its neighbours still in the
-       graph; precolored ones never take a bank register away) is kept
-       up to date as classes are removed, and [low] holds exactly the
-       remaining classes whose degree is below their palette size. *)
+       neighbour classes (compressed rows [ncls_off]/[ncls]), palette
+       size and spill cost are computed once.  Its active degree (the
+       widths of its neighbours still in the graph; precolored ones
+       never take a bank register away) is kept up to date as classes
+       are removed, and [low] holds exactly the remaining classes whose
+       degree is below their palette size. *)
     let is_rep =
       Array.init nv (fun i ->
-          find i = i && (!kinds).(i) <> Regmgr.Vpair_second && pre.(i) < 0)
+          find i = i && kinds.(i) <> Regmgr.Vpair_second && pre.(i) < 0)
     in
-    let ncls =
-      Array.init nv (fun i -> if is_rep.(i) then neighbor_classes i else [])
-    in
-    let avail =
-      Array.init nv (fun i -> if is_rep.(i) then avail_colors i else 0)
-    in
-    let deg = Array.map degree ncls in
-    let weight =
-      Array.init nv (fun r ->
-          if not is_rep.(r) then 0.0
-          else if List.exists (fun m -> (!nospill).(m)) members.(r) then
-            infinity
-          else
-            List.fold_left
-              (fun a m -> a +. g.Interference.weight.(m))
-              0.0 members.(r))
-    in
+    let ncls_off = Array.make (nv + 1) 0 in
+    let ncls = ref (Array.make (max 16 nv) 0) in
+    let nn = ref 0 in
+    for r = 0 to nv - 1 do
+      ncls_off.(r) <- !nn;
+      if is_rep.(r) then begin
+        let n = classes_a r in
+        if !nn + n > Array.length !ncls then begin
+          let a = Array.make (2 * (!nn + n)) 0 in
+          Array.blit !ncls 0 a 0 !nn;
+          ncls := a
+        end;
+        Array.blit buf_a 0 !ncls !nn n;
+        nn := !nn + n
+      end
+    done;
+    ncls_off.(nv) <- !nn;
+    let ncls = !ncls in
+    let avail = Array.make nv 0 and deg = Array.make nv 0 in
+    let weight = Array.make nv 0.0 in
+    for r = 0 to nv - 1 do
+      if is_rep.(r) then begin
+        avail.(r) <- avail_colors r;
+        for e = ncls_off.(r) to ncls_off.(r + 1) - 1 do
+          let c = ncls.(e) in
+          if pre.(c) < 0 then deg.(r) <- deg.(r) + width c
+        done;
+        (* members in merge order: the float sum is order-sensitive *)
+        let sum = ref 0.0 and m = ref r in
+        while !m >= 0 do
+          if (!nospill).(!m) then sum := infinity
+          else if !sum <> infinity then
+            sum := !sum +. g.Interference.weight.(!m);
+          m := mnext.(!m)
+        done;
+        weight.(r) <- !sum
+      end
+    done;
     let removed = Array.make nv false in
     let low = Liveness.Bits.make nv in
     let remaining = ref 0 in
@@ -331,19 +423,21 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
         if deg.(r) < avail.(r) then Liveness.Bits.set low r
       end
     done;
-    let stack = ref [] in
+    (* removal order; select pops from the top *)
+    let stack = Array.make !remaining 0 and sp = ref 0 in
     let remove r =
       removed.(r) <- true;
       Liveness.Bits.clear low r;
-      stack := r :: !stack;
+      stack.(!sp) <- r;
+      incr sp;
       decr remaining;
-      List.iter
-        (fun c ->
-          if is_rep.(c) && not removed.(c) then begin
-            deg.(c) <- deg.(c) - width r;
-            if deg.(c) < avail.(c) then Liveness.Bits.set low c
-          end)
-        ncls.(r)
+      for e = ncls_off.(r) to ncls_off.(r + 1) - 1 do
+        let c = ncls.(e) in
+        if is_rep.(c) && not removed.(c) then begin
+          deg.(c) <- deg.(c) - width r;
+          if deg.(c) < avail.(c) then Liveness.Bits.set low c
+        end
+      done
     in
     while !remaining > 0 do
       let r = Liveness.Bits.first low in
@@ -370,51 +464,56 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
       (fun i p -> if p >= 0 && find i = i then color.(i) <- p)
       pre;
     let spills = ref [] in
-    List.iter
-      (fun r ->
-        let used = ref (forbid_cls r) in
-        List.iter
-          (fun c ->
-            if color.(c) >= 0 then begin
-              used := !used lor (1 lsl color.(c));
-              if (!kinds).(c) = Regmgr.Vpair_base then
-                used := !used lor (1 lsl (color.(c) + 1))
-            end)
-          ncls.(r);
-        let free p = !used land (1 lsl p) = 0 in
-        let pick =
-          if (!kinds).(r) = Regmgr.Vpair_base then
-            List.find_opt (fun p -> List.mem (p + 1) bank && free p && free (p + 1)) bank
-          else List.find_opt free bank
-        in
-        match pick with
-        | Some p -> color.(r) <- p
-        | None -> spills := r :: !spills)
-      !stack;
+    for s = !sp - 1 downto 0 do
+      let r = stack.(s) in
+      let used = ref (forbid_cls r) in
+      for e = ncls_off.(r) to ncls_off.(r + 1) - 1 do
+        let c = ncls.(e) in
+        if color.(c) >= 0 then begin
+          used := !used lor (1 lsl color.(c));
+          if kinds.(c) = Regmgr.Vpair_base then
+            used := !used lor (1 lsl (color.(c) + 1))
+        end
+      done;
+      let free p = !used land (1 lsl p) = 0 in
+      let pick =
+        if kinds.(r) = Regmgr.Vpair_base then
+          List.find_opt (fun p -> List.mem (p + 1) bank && free p && free (p + 1)) bank
+        else List.find_opt free bank
+      in
+      match pick with
+      | Some p -> color.(r) <- p
+      | None -> spills := r :: !spills
+    done;
     let spills = List.sort compare !spills in
     if spills = [] then begin
       (* -- assign and clean up ------------------------------------------ *)
+      (* every virtual register goes through here, so none survives
+         assignment *)
       let map_reg r =
-        if r >= vbase then begin
-          let p = color.(find (r - vbase)) in
-          assert (p >= 0);
-          p
-        end
-        else r
+        let p = color.(find (r - vbase)) in
+        assert (p >= 0 && p < vbase);
+        p
       in
-      let map_mode = function
-        | Mode.Reg r -> Mode.Reg (map_reg r)
+      (* operands without a virtual register are kept as they are *)
+      let map_mode (o : Mode.t) =
+        match o with
+        | Mode.Reg r when r >= vbase -> Mode.Reg (map_reg r)
         | Mode.Mem m ->
-          Mode.Mem
-            {
-              m with
-              Mode.base = Option.map map_reg m.Mode.base;
-              index = Option.map map_reg m.Mode.index;
-            }
-        | (Mode.Imm _ | Mode.Fimm _) as o -> o
+          let virt = function Some r -> r >= vbase | None -> false in
+          if virt m.Mode.base || virt m.Mode.index then
+            let sub = function
+              | Some r when r >= vbase -> Some (map_reg r)
+              | part -> part
+            in
+            Mode.Mem { m with Mode.base = sub m.Mode.base; index = sub m.Mode.index }
+          else o
+        | Mode.Reg _ | Mode.Imm _ | Mode.Fimm _ -> o
       in
       let move_at = Array.make (Array.length !insns) false in
-      List.iter (fun (i, _, _) -> move_at.(i) <- true) g.Interference.moves;
+      for k = 0 to Interference.nmoves g - 1 do
+        move_at.(moves.(3 * k)) <- true
+      done;
       (* deleting a now-redundant register self-move is unsafe only if
          the next instruction is a conditional branch reading the
          condition codes the move would have set *)
@@ -451,17 +550,6 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
             else keep (Insn.Insn (m, ops'))
           | _ -> keep insn)
         !insns;
-      (* no virtual register survives assignment *)
-      List.iter
-        (fun insn ->
-          match insn with
-          | Insn.Insn (_, ops) ->
-            List.iter
-              (fun o ->
-                List.iter (fun r -> assert (r < vbase)) (Mode.registers o))
-              ops
-          | _ -> ())
-        !out;
       result := Some (List.rev !out, List.rev !outp)
     end
     else begin
@@ -471,12 +559,14 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
       List.iter
         (fun r ->
           let ty =
-            List.fold_left
-              (fun acc m ->
-                if Dtype.size (!types).(m) > Dtype.size acc then (!types).(m)
-                else acc)
-              (!types).(List.hd members.(r))
-              members.(r)
+            let rec widest m acc =
+              if m < 0 then acc
+              else
+                widest mnext.(m)
+                  (if Dtype.size (!types).(m) > Dtype.size acc then (!types).(m)
+                   else acc)
+            in
+            widest r (!types).(r)
           in
           Hashtbl.replace slot_of r (Frame.alloc_virtual frame ty, ty))
         spills;
@@ -489,15 +579,15 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
         out := insn :: !out;
         if have_prov then
           outp :=
-            (match p with Some e -> e | None -> (0, [], "")) :: !outp
+            (match p with Some e -> e | None -> no_prov) :: !outp
       in
       Array.iteri
         (fun i insn ->
-          let orig_p = if have_prov then (!prov_a).(i) else (0, [], "") in
+          let orig_p = if have_prov then (!prov_a).(i) else no_prov in
           match insn with
           | Insn.Insn (m, ops) ->
             let n = List.length ops in
-            let kind = if n = 0 then Backend.Dst_none else ra.Backend.ra_dst m in
+            let kind = Liveness.dst_kind lv i in
             (* fresh temps for this instruction, one per spilled class *)
             let rmap = ref [] in
             let mark_of rep suffix =
@@ -570,8 +660,8 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
               (List.rev !stores)
           | _ -> push ~p:orig_p insn)
         !insns;
-      insns := Array.of_list (List.rev !out);
-      prov_a := Array.of_list (List.rev !outp)
+      insns := array_of_list Insn.Ret (List.rev !out);
+      prov_a := array_of_list no_prov (List.rev !outp)
     end
   done;
   let insns', prov' = Option.get !result in

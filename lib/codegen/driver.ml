@@ -123,8 +123,10 @@ let reserved_registers ~alloc_regs (f : Tree.func) =
     (fun acc s -> match s with Tree.Stree t -> add acc t | _ -> acc)
     [] f.Tree.body
 
-let compile_func ?(options = default_options) tables (f : Tree.func) =
-  Trace.span ~cat:"function" f.Tree.fname @@ fun () ->
+(* Phases 1 and 2 of one function: the emitted stream (over virtual
+   registers under [Color]) inside its semantic state, the frame, and
+   the register variables withheld from the bank. *)
+let match_func ~options tables (f : Tree.func) =
   let backend = tables.t_backend in
   let alloc_regs = backend.Backend.alloc_regs in
   let reserved = reserved_registers ~alloc_regs f in
@@ -155,22 +157,53 @@ let compile_func ?(options = default_options) tables (f : Tree.func) =
   in
   Trace.phase "phase2.match" (fun () ->
       compile_stmts tables sem tr.Transform.func.Tree.body);
-  let insns = Semantics.output sem in
-  let prov = Semantics.provenance sem in
+  (sem, frame, reserved)
+
+type color_input = {
+  ci_backend : Backend.t;
+  ci_bank : int list;
+  ci_frame : Frame.t;
+  ci_vinfo : Regmgr.vreg_summary;
+  ci_heat : (int * int) list;
+  ci_prov : (int * int list * string) list;
+  ci_insns : Insn.t list;
+}
+
+let color_input_of ~options tables ~reserved ~frame sem =
+  let backend = tables.t_backend in
+  {
+    ci_backend = backend;
+    ci_bank =
+      List.filter (fun r -> not (List.mem r reserved)) backend.Backend.alloc_regs;
+    ci_frame = frame;
+    ci_vinfo =
+      (match Regmgr.vreg_summary (Semantics.regmgr sem) with
+      | Some v -> v
+      | None -> assert false);
+    ci_heat = options.heat;
+    ci_prov = Semantics.provenance sem;
+    ci_insns = Semantics.output sem;
+  }
+
+let color_input ?(options = default_options) tables f =
+  let options = { options with regalloc = Color } in
+  let sem, frame, reserved = match_func ~options tables f in
+  color_input_of ~options tables ~reserved ~frame sem
+
+let run_color ci =
+  Color.run ~backend:ci.ci_backend ~bank:ci.ci_bank ~frame:ci.ci_frame
+    ~vinfo:ci.ci_vinfo ~heat:ci.ci_heat ~prov:ci.ci_prov ci.ci_insns
+
+let compile_func ?(options = default_options) tables (f : Tree.func) =
+  Trace.span ~cat:"function" f.Tree.fname @@ fun () ->
+  let sem, frame, reserved = match_func ~options tables f in
   let insns, prov, ra_stats =
     match options.regalloc with
-    | Stack -> (insns, prov, None)
+    | Stack -> (Semantics.output sem, Semantics.provenance sem, None)
     | Color ->
-      let vinfo =
-        match Regmgr.vreg_summary (Semantics.regmgr sem) with
-        | Some v -> v
-        | None -> assert false
-      in
-      let bank = List.filter (fun r -> not (List.mem r reserved)) alloc_regs in
+      let ci = color_input_of ~options tables ~reserved ~frame sem in
       let insns, prov, st =
-        Trace.phase "phase3.regalloc" (fun () ->
-            Color.run ~backend ~bank ~frame ~vinfo ~heat:options.heat ~prov
-              insns)
+        Trace.phase "phase3.regalloc" (fun () -> run_color ci)
       in
       (* provenance forced on for heat weighting only is internal:
          don't surface it unless the user asked *)

@@ -94,6 +94,29 @@ type output = {
     {!Gg_profile.Profile.enabled}. *)
 val compile_func : ?options:options -> tables -> Tree.func -> compiled_func
 
+(** What {!Color.run} receives for one function under [Color]: the
+    virtual-register stream after matching, its provenance, the
+    virtual-register summary, the bank left after register variables
+    are withheld, and the frame the spill slots extend. *)
+type color_input = {
+  ci_backend : Backend.t;
+  ci_bank : int list;
+  ci_frame : Frame.t;  (** mutable: {!run_color} allocates spill slots *)
+  ci_vinfo : Regmgr.vreg_summary;
+  ci_heat : (int * int) list;
+  ci_prov : (int * int list * string) list;
+  ci_insns : Insn.t list;
+}
+
+(** Phases 1 and 2 of {!compile_func} under [Color] ([options.regalloc]
+    is ignored), stopping before the colorer: for tests and
+    measurements of {!Color.run} on real functions. *)
+val color_input : ?options:options -> tables -> Tree.func -> color_input
+
+(** The colorer step of {!compile_func}: {!Color.run} on one input. *)
+val run_color :
+  color_input -> Insn.t list * (int * int list * string) list * Color.stats
+
 (** Compile a whole program.  [jobs] > 1 distributes the functions over
     the persistent {!Parallel} pool (clamped to the core count; see
     {!Parallel.map}); output order is the program's function order

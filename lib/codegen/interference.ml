@@ -6,27 +6,65 @@ open Import
    Nodes are virtual-register indices (0..nv-1, i.e. the liveness node
    minus {!Liveness.nphys}).  Physical registers never become nodes: a
    conflict between a virtual register and a machine register is
-   recorded as a forbidden-color bit instead. *)
+   recorded as a forbidden-color bit instead.  The graph is one flat
+   bit matrix, [words] ints per row, so a definition's conflicts with
+   everything live across it are a word-wise OR of the live set into
+   its row. *)
 
 type t = {
-  rows : Liveness.Bits.t array;  (* per node, its neighbours (symmetric) *)
+  nv : int;
+  words : int;
+  rows : int array;  (* nv × words: node a's neighbours at a * words *)
   forbid : int array;  (* bitmask of conflicting physical registers *)
-  moves : (int * int * int) list;
-      (* coalescable reg-to-reg moves in stream order:
-         (instruction index, source, destination) as liveness node
+  moves : int array;
+      (* coalescable reg-to-reg moves in stream order, three ints each:
+         instruction index, source, destination as liveness node
          indices — an end below Liveness.nphys is a physical register
          (a register variable, or r0/r1 holding a call result) *)
   weight : float array;  (* spill cost per node *)
   occurrences : int array;  (* def/use sites per node *)
 }
 
-let interferes t a b = a <> b && Liveness.Bits.get t.rows.(a) b
+let bits = Liveness.Bits.bits
 
-let add_edge t a b =
-  if a <> b then begin
-    Liveness.Bits.set t.rows.(a) b;
-    Liveness.Bits.set t.rows.(b) a
+let interferes t a b =
+  a <> b
+  && Array.unsafe_get t.rows ((a * t.words) + (b / bits))
+     land (1 lsl (b mod bits))
+     <> 0
+
+(* bit [b] of row [a] *)
+let set_bit_in rows words a b =
+  let k = (a * words) + (b / bits) in
+  Array.unsafe_set rows k (Array.unsafe_get rows k lor (1 lsl (b mod bits)))
+
+(* a conflict between two liveness nodes, either of which may be
+   physical *)
+let conflict rows words forbid a b =
+  let nphys = Liveness.nphys in
+  if a >= nphys then begin
+    if b >= nphys then begin
+      if a <> b then begin
+        set_bit_in rows words (a - nphys) (b - nphys);
+        set_bit_in rows words (b - nphys) (a - nphys)
+      end
+    end
+    else forbid.(a - nphys) <- forbid.(a - nphys) lor (1 lsl b)
   end
+  else if b >= nphys then
+    forbid.(b - nphys) <- forbid.(b - nphys) lor (1 lsl a)
+
+let nmoves t = Array.length t.moves / 3
+
+let neighbours t a =
+  let out = ref [] in
+  for k = t.words - 1 downto 0 do
+    let w = t.rows.((a * t.words) + k) in
+    for j = bits - 1 downto 0 do
+      if w land (1 lsl j) <> 0 then out := ((k * bits) + j) :: !out
+    done
+  done;
+  !out
 
 let rec pow10 n = if n <= 0 then 1.0 else 10.0 *. pow10 (n - 1)
 
@@ -56,76 +94,143 @@ let heat_factor ~heat ~prov =
         in
         min 1.0 (float_of_int total /. hottest)
 
-let build ~(move_mnemonics : string list) ~(heat : (int * int) list)
-    ~(prov : (int * int list * string) array) (lv : Liveness.t) =
-  let nv = lv.Liveness.nnodes - Liveness.nphys in
-  let t =
-    {
-      rows = Array.init nv (fun _ -> Liveness.Bits.make nv);
-      forbid = Array.make nv 0;
-      moves = [];
-      weight = Array.make nv 0.0;
-      occurrences = Array.make nv 0;
-    }
-  in
-  let vnode r = Liveness.node_of lv r - Liveness.nphys in
-  let conflict a b =
-    (* liveness node indices: either side may be physical *)
-    match (Liveness.is_virtual_node a, Liveness.is_virtual_node b) with
-    | true, true -> add_edge t (a - Liveness.nphys) (b - Liveness.nphys)
-    | true, false ->
-      t.forbid.(a - Liveness.nphys) <- t.forbid.(a - Liveness.nphys) lor (1 lsl b)
-    | false, true ->
-      t.forbid.(b - Liveness.nphys) <- t.forbid.(b - Liveness.nphys) lor (1 lsl a)
-    | false, false -> ()
-  in
+(* a coalescable move: plain reg to reg, at least one end virtual; a
+   physical end must be a general register (never ap/fp/sp/pc) *)
+let move_ends (lv : Liveness.t) i =
+  if not (Liveness.is_move_mnemonic lv i) then None
+  else
+    match lv.Liveness.insns.(i) with
+    | Insn.Insn (_, [ Mode.Reg a; Mode.Reg b ]) ->
+      let vbase = lv.Liveness.vbase in
+      let ok_end r = r >= vbase || r < 12 in
+      if (a >= vbase || b >= vbase) && ok_end a && ok_end b then
+        Some (Liveness.node_of lv a, Liveness.node_of lv b)
+      else None
+    | _ -> None
+
+let build ~(heat : (int * int) list) ~(prov : (int * int list * string) array)
+    (lv : Liveness.t) =
+  let nphys = Liveness.nphys in
+  let nv = lv.Liveness.nnodes - nphys in
+  let words = (nv + bits - 1) / bits in
+  let rows = Array.make (nv * words) 0 in
+  let forbid = Array.make nv 0 in
+  let weight = Array.make nv 0.0 in
+  let occurrences = Array.make nv 0 in
+  let insns = lv.Liveness.insns in
+  let n = Array.length insns in
+  (* moves, in stream order; [move_src] is a move's source node, else -1 *)
+  let move_src = Array.make n (-1) in
+  let nm = ref 0 in
+  for i = 0 to n - 1 do
+    match move_ends lv i with
+    | Some (s, _) ->
+      move_src.(i) <- s;
+      incr nm
+    | None -> ()
+  done;
+  let moves = Array.make (3 * !nm) 0 in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    match move_ends lv i with
+    | Some (s, d) ->
+      moves.(!m) <- i;
+      moves.(!m + 1) <- s;
+      moves.(!m + 2) <- d;
+      m := !m + 3
+    | None -> ()
+  done;
   let hf = heat_factor ~heat ~prov in
-  let moves = ref [] in
-  Array.iteri
-    (fun b (blk : Liveness.block) ->
-      ignore b;
-      let live = Liveness.Bits.copy lv.Liveness.live_out.(b) in
-      for i = blk.Liveness.last downto blk.Liveness.first do
-        let defs, uses = lv.Liveness.def_use.(i) in
-        (* a coalescable move: plain reg to reg, at least one end
-           virtual; a physical end must be a general register (never
-           ap/fp/sp/pc).  [move_src] is its source node, else -1. *)
-        let move_src =
-          let ok_end r = r >= lv.Liveness.vbase || r < 12 in
-          match lv.Liveness.insns.(i) with
-          | Insn.Insn (m, [ Mode.Reg a; Mode.Reg b ])
-            when (a >= lv.Liveness.vbase || b >= lv.Liveness.vbase)
-                 && ok_end a && ok_end b
-                 && List.mem m move_mnemonics ->
-            moves :=
-              (i, Liveness.node_of lv a, Liveness.node_of lv b) :: !moves;
-            Liveness.node_of lv a
-          | _ -> -1
-        in
-        (* spill-cost weight of this site *)
-        let w =
-          (1.0 +. hf i) *. pow10 (min 8 (Liveness.depth_at lv i))
-        in
-        List.iter
-          (fun r ->
-            if r >= lv.Liveness.vbase then begin
-              let v = vnode r in
-              t.weight.(v) <- t.weight.(v) +. w;
-              t.occurrences.(v) <- t.occurrences.(v) + 1
-            end)
-          (defs @ uses);
-        (* the destination interferes with everything live across it,
-           except the source of a move (they may share a register) *)
-        let def_nodes = List.map (Liveness.node_of lv) defs in
-        List.iter
-          (fun dn ->
-            Liveness.Bits.iter
-              (fun l -> if l <> move_src then conflict dn l)
-              live;
-            List.iter (fun dn' -> conflict dn dn') def_nodes)
-          def_nodes;
-        List.iter (fun dn -> Liveness.Bits.clear live dn) def_nodes;
-        List.iter (fun r -> Liveness.Bits.set live (Liveness.node_of lv r)) uses
-      done)
-    lv.Liveness.blocks;
-  { t with moves = List.sort compare !moves }
+  let defs = lv.Liveness.defs and uses = lv.Liveness.uses in
+  let def_off = lv.Liveness.def_off and use_off = lv.Liveness.use_off in
+  let stride = lv.Liveness.stride in
+  (* the live set walking backwards through a block, in the liveness
+     row layout: word 0 physical, word 1 + k = matrix word k *)
+  let live = Array.make stride 0 in
+  for b = 0 to lv.Liveness.nblocks - 1 do
+    Array.blit lv.Liveness.live_out (b * stride) live 0 stride;
+    let w_depth = pow10 (min 8 lv.Liveness.depth.(b)) in
+    for i = lv.Liveness.blk_last.(b) downto lv.Liveness.blk_first.(b) do
+      let d0 = def_off.(i) and d1 = def_off.(i + 1) in
+      let u0 = use_off.(i) and u1 = use_off.(i + 1) in
+      (* spill-cost weight of this site *)
+      let w = (1.0 +. hf i) *. w_depth in
+      for k = d0 to d1 - 1 do
+        let v = Array.unsafe_get defs k - nphys in
+        if v >= 0 then begin
+          Array.unsafe_set weight v (Array.unsafe_get weight v +. w);
+          Array.unsafe_set occurrences v (Array.unsafe_get occurrences v + 1)
+        end
+      done;
+      for k = u0 to u1 - 1 do
+        let v = Array.unsafe_get uses k - nphys in
+        if v >= 0 then begin
+          Array.unsafe_set weight v (Array.unsafe_get weight v +. w);
+          Array.unsafe_set occurrences v (Array.unsafe_get occurrences v + 1)
+        end
+      done;
+      (* the destination interferes with everything live across it,
+         except the source of a move (they may share a register) *)
+      let src = move_src.(i) in
+      for k = d0 to d1 - 1 do
+        let dn = Array.unsafe_get defs k in
+        if dn >= nphys then begin
+          let a = dn - nphys in
+          let row = a * words in
+          (* the live physical registers are forbidden colors *)
+          let phys =
+            if src >= 0 && src < nphys then live.(0) land lnot (1 lsl src)
+            else live.(0)
+          in
+          forbid.(a) <- forbid.(a) lor phys;
+          (* the live virtual registers are neighbours, both ways *)
+          for wk = 0 to words - 1 do
+            let x = Array.unsafe_get live (wk + 1) in
+            if x <> 0 then begin
+              let x =
+                if src >= nphys && (src - nphys) / bits = wk then
+                  x land lnot (1 lsl ((src - nphys) mod bits))
+                else x
+              in
+              Array.unsafe_set rows (row + wk)
+                (Array.unsafe_get rows (row + wk) lor x);
+              let x = ref x in
+              while !x <> 0 do
+                let low = !x land - !x in
+                set_bit_in rows words ((wk * bits) + Liveness.Bits.bit_index low) a;
+                x := !x lxor low
+              done
+            end
+          done;
+          (* never a self-edge *)
+          rows.(row + (a / bits)) <- rows.(row + (a / bits)) land lnot (1 lsl (a mod bits))
+        end
+        else begin
+          (* a physical definition: forbidden to every live virtual *)
+          for wk = 0 to words - 1 do
+            let x = ref (Array.unsafe_get live (wk + 1)) in
+            if src >= nphys && (src - nphys) / bits = wk then
+              x := !x land lnot (1 lsl ((src - nphys) mod bits));
+            while !x <> 0 do
+              let low = !x land - !x in
+              let l = (wk * bits) + Liveness.Bits.bit_index low in
+              forbid.(l) <- forbid.(l) lor (1 lsl dn);
+              x := !x lxor low
+            done
+          done
+        end;
+        (* the definitions of one instruction conflict pairwise *)
+        for k' = d0 to d1 - 1 do
+          let dn' = Array.unsafe_get defs k' in
+          conflict rows words forbid dn dn'
+        done
+      done;
+      for k = d0 to d1 - 1 do
+        Liveness.clear_node live 0 (Array.unsafe_get defs k)
+      done;
+      for k = u0 to u1 - 1 do
+        Liveness.set_node live 0 (Array.unsafe_get uses k)
+      done
+    done
+  done;
+  { nv; words; rows; forbid; moves; weight; occurrences }

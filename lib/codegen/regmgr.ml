@@ -20,7 +20,11 @@ type t = {
   allocatable : int list;  (* the target's register bank, allocation order *)
   vbase : int option;  (* Some b: virtual mode, fresh registers from b *)
   mutable next_vreg : int;
-  mutable vrecs : (Dtype.t * vreg_kind * (int * int list)) list;  (* reversed *)
+  (* virtual-register metadata, [next_vreg - vbase] entries, growing by
+     doubling *)
+  mutable vtypes : Dtype.t array;
+  mutable vkinds : vreg_kind array;
+  mutable vprovs : (int * int list) array;
   mutable stack : int list;  (* allocation order, most recent first *)
   mutable free : int list;  (* most recently freed first *)
   frame : Frame.t;
@@ -56,7 +60,9 @@ let create ?(reserved = []) ?(allocatable = Regconv.allocatable)
     allocatable;
     vbase = vreg_base;
     next_vreg = Option.value vreg_base ~default:0;
-    vrecs = [];
+    vtypes = [||];
+    vkinds = [||];
+    vprovs = [||];
     stack = [];
     free =
       (match vreg_base with
@@ -121,7 +127,20 @@ let take t r owner =
 let fresh t ty kind =
   let r = t.next_vreg in
   t.next_vreg <- r + 1;
-  t.vrecs <- (ty, kind, t.prov_of ()) :: t.vrecs;
+  let k = r - Option.get t.vbase in
+  if k = Array.length t.vtypes then begin
+    let grow a fill =
+      let a' = Array.make ((2 * k) + 16) fill in
+      Array.blit a 0 a' 0 k;
+      a'
+    in
+    t.vtypes <- grow t.vtypes Dtype.Long;
+    t.vkinds <- grow t.vkinds Vsingle;
+    t.vprovs <- grow t.vprovs (0, [])
+  end;
+  t.vtypes.(k) <- ty;
+  t.vkinds.(k) <- kind;
+  t.vprovs.(k) <- t.prov_of ();
   r
 
 let rec alloc t ty : Desc.t =
@@ -228,13 +247,13 @@ let vreg_summary t =
   match t.vbase with
   | None -> None
   | Some vb ->
-    let recs = Array.of_list (List.rev t.vrecs) in
+    let n = t.next_vreg - vb in
     Some
       {
         vs_base = vb;
-        vs_types = Array.map (fun (ty, _, _) -> ty) recs;
-        vs_kinds = Array.map (fun (_, k, _) -> k) recs;
-        vs_prov = Array.map (fun (_, _, p) -> p) recs;
+        vs_types = Array.sub t.vtypes 0 n;
+        vs_kinds = Array.sub t.vkinds 0 n;
+        vs_prov = Array.sub t.vprovs 0 n;
       }
 
 let assert_clean t =

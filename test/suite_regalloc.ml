@@ -22,9 +22,19 @@ let vbase = 64
 let v k = vbase + k
 let sorted = List.sort compare
 
+let vax_mnemonics () =
+  Liveness.mnemonics ~ra:vax_ra ~move_mnemonics:[ "movl" ]
+    ~is_jump:(String.equal "jbr")
+
+(* one instruction's defs and uses, as registers, read back from the
+   analysis's compressed rows *)
 let du insn =
-  let d, u = Liveness.insn_def_use vax_ra insn in
-  (sorted d, sorted u)
+  let lv = Liveness.analyze (vax_mnemonics ()) ~vbase ~nvregs:0 [| insn |] in
+  let regs arr lo hi =
+    sorted (List.init (hi - lo) (fun k -> Liveness.reg_of lv arr.(lo + k)))
+  in
+  ( regs lv.Liveness.defs lv.Liveness.def_off.(0) lv.Liveness.def_off.(1),
+    regs lv.Liveness.uses lv.Liveness.use_off.(0) lv.Liveness.use_off.(1) )
 
 let il = Alcotest.(list int)
 
@@ -161,13 +171,10 @@ let test_def_use () =
 (* -- liveness and interference on hand-built streams ----------------------- *)
 
 let analyze ?(nvregs = 2) insns =
-  Liveness.analyze ~ra:vax_ra
-    ~is_jump:(String.equal "jbr")
-    ~vbase ~nvregs (Array.of_list insns)
+  Liveness.analyze (vax_mnemonics ()) ~vbase ~nvregs (Array.of_list insns)
 
 let build ?(nvregs = 2) insns =
-  Interference.build ~move_mnemonics:[ "movl" ] ~heat:[] ~prov:[||]
-    (analyze ~nvregs insns)
+  Interference.build ~heat:[] ~prov:[||] (analyze ~nvregs insns)
 
 let test_liveness_straight_line () =
   let lv =
@@ -180,10 +187,10 @@ let test_liveness_straight_line () =
         Insn.Ret;
       ]
   in
-  Alcotest.(check int) "one basic block" 1 (Array.length lv.Liveness.blocks);
+  Alcotest.(check int) "one basic block" 1 lv.Liveness.nblocks;
   Alcotest.(check bool)
     "nothing live out of the exit block" false
-    (Liveness.Bits.get lv.Liveness.live_out.(0) (Liveness.node_of lv (v 0)))
+    (Liveness.live_out_mem lv 0 (Liveness.node_of lv (v 0)))
 
 let test_interference_edges () =
   let g =
@@ -201,7 +208,7 @@ let test_interference_edges () =
     (Interference.interferes g 0 1);
   Alcotest.(check int)
     "the copy to r0 is the only move" 1
-    (List.length g.Interference.moves)
+    (Interference.nmoves g)
 
 let test_move_does_not_interfere () =
   let g =
@@ -216,7 +223,7 @@ let test_move_does_not_interfere () =
   Alcotest.(check bool)
     "a move's ends do not interfere" false
     (Interference.interferes g 0 1);
-  Alcotest.(check int) "both moves recorded" 2 (List.length g.Interference.moves)
+  Alcotest.(check int) "both moves recorded" 2 (Interference.nmoves g)
 
 let test_loop_depth () =
   let l = Label.fresh (Label.gen ()) in
@@ -624,6 +631,191 @@ let prop_stack_color_parity =
         QCheck.Test.fail_reportf "seed %d: %a" seed Oracle.pp_failure f
       | exception Oracle.Invalid _ -> QCheck.assume_fail ())
 
+(* -- the flat analysis against the list-based reference ------------------ *)
+
+module Ref = Regalloc_ref
+
+(* the mover's register-to-register spellings and the unconditional
+   branch, probed from the backend as the colorer does *)
+let move_mnemonics (backend : Backend.t) =
+  let move = Option.value backend.Backend.move ~default:Regmgr.default_move in
+  List.filter_map
+    (fun ty ->
+      match move ty ~src:(Mode.Reg 0) ~dst:(Mode.Reg 1) with
+      | [ Insn.Insn (m, [ _; _ ]) ] -> Some m
+      | _ -> None)
+    Dtype.all
+  |> List.sort_uniq compare
+
+let is_jump (backend : Backend.t) =
+  match backend.Backend.jump (Label.fresh (Label.gen ())) with
+  | Insn.Branch (m, _) -> String.equal m
+  | _ -> fun _ -> false
+
+let heat = List.init 60 (fun p -> (p, 1 + (p * 7 mod 13)))
+
+(* Every field of the library's def/use, blocks, live-out sets and
+   interference graph against the reference, on one colorer input;
+   the mismatches, first few only *)
+let analysis_mismatches (ci : Driver.color_input) =
+  let backend = ci.Driver.ci_backend in
+  let ra = backend.Backend.regalloc in
+  let moves = move_mnemonics backend and is_jump = is_jump backend in
+  let vbase = ci.Driver.ci_vinfo.Regmgr.vs_base in
+  let nvregs = Array.length ci.Driver.ci_vinfo.Regmgr.vs_types in
+  let insns = Array.of_list ci.Driver.ci_insns in
+  let prov = Array.of_list ci.Driver.ci_prov in
+  let heat = ci.Driver.ci_heat in
+  let r = Ref.analyze ~ra ~is_jump ~vbase ~nvregs insns in
+  let rg = Ref.build ~move_mnemonics:moves ~heat ~prov r in
+  let lv =
+    Liveness.analyze
+      (Liveness.mnemonics ~ra ~move_mnemonics:moves ~is_jump)
+      ~vbase ~nvregs insns
+  in
+  let g = Interference.build ~heat ~prov lv in
+  let errs = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
+  let row arr off i = List.init (off.(i + 1) - off.(i)) (fun k -> arr.(off.(i) + k)) in
+  let il = Fmt.(str "%a" (Dump.list int)) in
+  (* def/use: the same nodes per instruction (the reference lists them
+     in reverse operand order) *)
+  Array.iteri
+    (fun i (d, u) ->
+      let nodes l = sorted (List.map (Liveness.node_of lv) l) in
+      let dd = sorted (row lv.Liveness.defs lv.Liveness.def_off i)
+      and uu = sorted (row lv.Liveness.uses lv.Liveness.use_off i) in
+      if dd <> nodes d then fail "insn %d defs %s, reference %s" i (il dd) (il (nodes d));
+      if uu <> nodes u then fail "insn %d uses %s, reference %s" i (il uu) (il (nodes u)))
+    r.Ref.def_use;
+  if Array.length lv.Liveness.def_off <> Array.length insns + 1 then
+    fail "def_off has %d entries for %d instructions"
+      (Array.length lv.Liveness.def_off) (Array.length insns);
+  (* blocks and live-out sets *)
+  if Array.length r.Ref.blocks <> lv.Liveness.nblocks then
+    fail "%d blocks, reference %d" lv.Liveness.nblocks (Array.length r.Ref.blocks)
+  else
+    Array.iteri
+      (fun b (blk : Ref.block) ->
+        if
+          blk.Ref.first <> lv.Liveness.blk_first.(b)
+          || blk.Ref.last <> lv.Liveness.blk_last.(b)
+          || blk.Ref.depth <> lv.Liveness.depth.(b)
+          || blk.Ref.succs <> row lv.Liveness.succ lv.Liveness.succ_off b
+          || blk.Ref.preds <> row lv.Liveness.pred lv.Liveness.pred_off b
+        then fail "block %d shape" b;
+        for n = 0 to lv.Liveness.nnodes - 1 do
+          if Bits.get r.Ref.live_out.(b) n <> Liveness.live_out_mem lv b n then
+            fail "block %d live-out node %d" b n
+        done)
+      r.Ref.blocks;
+  (* the graph *)
+  let nv = nvregs in
+  if g.Interference.nv <> nv then fail "nv %d, reference %d" g.Interference.nv nv;
+  for a = 0 to nv - 1 do
+    let want = bits_members rg.Ref.rows.(a) and got = Interference.neighbours g a in
+    if want <> got then fail "row %d: %s, reference %s" a (il got) (il want)
+  done;
+  if g.Interference.forbid <> rg.Ref.forbid then fail "forbid masks";
+  let triples =
+    List.init (Interference.nmoves g) (fun k ->
+        let m = g.Interference.moves in
+        (m.(3 * k), m.((3 * k) + 1), m.((3 * k) + 2)))
+  in
+  if triples <> rg.Ref.moves then fail "moves";
+  if g.Interference.weight <> rg.Ref.weight then fail "weights";
+  if g.Interference.occurrences <> rg.Ref.occurrences then fail "occurrences";
+  List.filteri (fun k _ -> k < 5) (List.rev !errs)
+
+let check_program ~what ~options target (prog : Tree.program) =
+  let tables = Targets.default_tables target in
+  List.iter
+    (fun (f : Tree.func) ->
+      match analysis_mismatches (Driver.color_input ~options tables f) with
+      | [] -> ()
+      | errs ->
+        Alcotest.failf "%s, %s, %s: %s" (Targets.name target) what
+          f.Tree.fname (String.concat "; " errs))
+    prog.Tree.funcs
+
+let color_options = { Driver.default_options with Driver.regalloc = Driver.Color }
+
+let test_analysis_matches_reference_corpus () =
+  List.iter
+    (fun target ->
+      for seed = 0 to 99 do
+        let src =
+          Corpus.random_source ~seed ~functions:(1 + (seed mod 3))
+            ~stmts_per_function:(10 + (seed mod 15))
+        in
+        (* heat weighting on odd seeds: provenance-driven spill costs *)
+        let options =
+          if seed land 1 = 1 then { color_options with Driver.heat } else color_options
+        in
+        check_program ~what:(Printf.sprintf "corpus seed %d" seed) ~options
+          target (Sema.compile src)
+      done)
+    Targets.all
+
+let prop_analysis_matches_reference =
+  QCheck.Test.make
+    ~name:"analysis: flat arrays equal the list-based reference (QCheck)"
+    ~count:30
+    QCheck.(make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let prog = Treegen.control_program ~seed Treegen.default_config in
+      List.iter
+        (fun target ->
+          check_program ~what:(Printf.sprintf "treegen seed %d" seed)
+            ~options:color_options target prog)
+        Targets.all;
+      true)
+
+(* -- exact allocation counts of the colorer ------------------------------- *)
+
+(* Minor words the colorer allocates per input instruction over the
+   fixed function set below, as measured on the flat-array colorer
+   (the list-based one allocated 211 per instruction on the same set).
+   The count is exact: it repeats run to run. *)
+let colorer_words_per_insn = 37.17
+
+let test_colorer_allocation_counts () =
+  let tables = Targets.default_tables Backend.Risc in
+  let sources =
+    List.init 50 (fun seed ->
+        Corpus.random_source ~seed ~functions:(1 + (seed mod 3))
+          ~stmts_per_function:(10 + (seed mod 15)))
+    @ [ straight_line_source ~seed:15 ~stmts:600 ~vars:12 ]
+  in
+  let minor_heap = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  let words = ref 0.0 and insns = ref 0 in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun (f : Tree.func) ->
+          let ci = Driver.color_input ~options:color_options tables f in
+          insns := !insns + List.length ci.Driver.ci_insns;
+          (* from an emptied minor heap, only the colorer's own
+             allocation may fill it *)
+          Gc.minor ();
+          let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+          let w0 = Gc.minor_words () in
+          ignore (Driver.run_color ci);
+          let w = Gc.minor_words () -. w0 in
+          let c = (Gc.quick_stat ()).Gc.minor_collections - c0 in
+          let bound = int_of_float (Float.ceil (w /. minor_heap)) + 1 in
+          if c > bound then
+            Alcotest.failf
+              "%s: %d minor collections for %.0f minor words (at most %d)"
+              f.Tree.fname c w bound;
+          words := !words +. w)
+        (Sema.compile src).Tree.funcs)
+    sources;
+  let per_insn = !words /. float_of_int !insns in
+  if per_insn > colorer_words_per_insn then
+    Alcotest.failf "%.2f minor words per input instruction, over %.2f" per_insn
+      colorer_words_per_insn
+
 let suite =
   [
     Alcotest.test_case "def/use: VAX operand classification" `Quick test_def_use;
@@ -655,4 +847,11 @@ let suite =
     Alcotest.test_case "bits: full, last-only and empty sets at word edges"
       `Quick test_bits_edges;
     QCheck_alcotest.to_alcotest ~long:false prop_bits_model;
+    Alcotest.test_case
+      "analysis: flat arrays equal the list-based reference on corpus seeds \
+       0..99, both targets"
+      `Quick test_analysis_matches_reference_corpus;
+    QCheck_alcotest.to_alcotest ~long:false prop_analysis_matches_reference;
+    Alcotest.test_case "color: exact minor-heap counts on fixed functions"
+      `Quick test_colorer_allocation_counts;
   ]
