@@ -255,128 +255,6 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
   end;
   { value; trace = List.rev !steps }
 
-(* The pre-optimisation loop: a (state, value) list stack, a symtab
-   lookup and a decoded [Tables.action] per action.  Kept as the
-   baseline the optimised loop is differentially tested against
-   (suite_parallel) and measured against (the THRU benchmark); not a
-   production path. *)
-let run_with_reference ?(trace = false) ~(g : Grammar.t) ~eof
-    ~(code : int -> int -> int) ~(tie : int -> int array)
-    ~(goto : int -> int -> int) ~(expected : int -> int list) cb tokens =
-  let ctrs = Profile.counters () in
-  let tokens = Array.of_list tokens in
-  let n = Array.length tokens in
-  let stack = ref [] in
-  let state = ref 0 in
-  let steps = ref [] in
-  let record s = if trace then steps := s :: !steps in
-  let term_id i =
-    if i >= n then eof
-    else
-      let name = tokens.(i).Termname.term in
-      match Symtab.find g.symtab name with
-      | Some (Symtab.T a) -> a
-      | Some (Symtab.N _) | None ->
-        raise (Reject { at = i; token = name; state = !state; expected = [] })
-  in
-  let expected_names s =
-    List.map
-      (fun a -> if a = eof then "<eof>" else Symtab.term_name g.symtab a)
-      (expected s)
-  in
-  let reject i a =
-    ctrs.Profile.rejects <- ctrs.Profile.rejects + 1;
-    raise
-      (Reject
-         {
-           at = i;
-           token = (if a = eof then "<eof>" else Symtab.term_name g.symtab a);
-           state = !state;
-           expected = expected_names !state;
-         })
-  in
-  let budget = ref ((64 * n) + 1024) in
-  let rec loop i =
-    decr budget;
-    if !budget < 0 then
-      raise
-        (Reject
-           {
-             at = min i (n - 1) |> max 0;
-             token = "<looping>";
-             state = !state;
-             expected = expected_names !state;
-           });
-    let a = term_id i in
-    match Packed.decode tie (code !state a) with
-    | Tables.Shift s' ->
-      ctrs.Profile.shifts <- ctrs.Profile.shifts + 1;
-      record (Sshift tokens.(i).Termname.term);
-      stack := (!state, cb.on_shift tokens.(i)) :: !stack;
-      state := s';
-      loop (i + 1)
-    | Tables.Reduce candidates ->
-      ctrs.Profile.reduces <- ctrs.Profile.reduces + 1;
-      let pop_args len =
-        let rec go k acc st =
-          if k = 0 then (acc, st)
-          else
-            match st with
-            | (s, v) :: rest -> go (k - 1) ((s, v) :: acc) rest
-            | [] -> assert false
-        in
-        let popped, rest = go len [] !stack in
-        (Array.of_list (List.map snd popped), popped, rest)
-      in
-      let pid =
-        if Array.length candidates = 1 then candidates.(0)
-        else begin
-          ctrs.Profile.semantic_choices <- ctrs.Profile.semantic_choices + 1;
-          let prods = Array.map (Grammar.production g) candidates in
-          let len = Array.length prods.(0).rhs in
-          Array.iter
-            (fun (p : Grammar.production) ->
-              if Array.length p.rhs <> len then
-                Fmt.failwith
-                  "matcher: semantic tie in state %d mixes rhs lengths \
-                   (corrupt tables?): %a vs %a"
-                  !state (Grammar.pp_production g) prods.(0)
-                  (Grammar.pp_production g) p)
-            prods;
-          let args, _, _ = pop_args len in
-          let idx = cb.choose prods [ args ] in
-          if idx < 0 || idx >= Array.length candidates then
-            Fmt.failwith
-              "matcher: choose returned %d for %d candidates" idx
-              (Array.length candidates);
-          candidates.(idx)
-        end
-      in
-      Profile.record_production pid;
-      let p = Grammar.production g pid in
-      let len = Array.length p.rhs in
-      let args, popped, rest = pop_args len in
-      let exposed =
-        match popped with (s, _) :: _ -> s | [] -> assert false
-      in
-      record (Sreduce pid);
-      let v = cb.on_reduce p args in
-      let target = goto exposed p.Grammar.lhs in
-      if target < 0 then reject i a;
-      stack := (exposed, v) :: rest;
-      state := target;
-      loop i
-    | Tables.Accept -> (
-      record Saccept;
-      match !stack with
-      | [ (_, v) ] -> v
-      | _ -> assert false)
-    | Tables.Error -> reject i a
-  in
-  ctrs.Profile.matcher_runs <- ctrs.Profile.matcher_runs + 1;
-  let value = loop 0 in
-  { value; trace = List.rev !steps }
-
 type engine = {
   eng_grammar : Grammar.t;
   eng_eof : int;
@@ -444,10 +322,6 @@ let run_engine ?trace e cb tokens =
   run_with ?trace ~g:e.eng_grammar ~eof:e.eng_eof ~intern:e.eng_intern
     ~code:e.eng_code ~tie:e.eng_tie ~goto:e.eng_goto
     ~expected:e.eng_expected ~split:e.eng_split cb tokens
-
-let run_engine_reference ?trace e cb tokens =
-  run_with_reference ?trace ~g:e.eng_grammar ~eof:e.eng_eof ~code:e.eng_code
-    ~tie:e.eng_tie ~goto:e.eng_goto ~expected:e.eng_expected cb tokens
 
 let run_tree_engine ?trace ?special_constants e cb tree =
   run_engine ?trace e cb (Termname.linearize ?special_constants tree)

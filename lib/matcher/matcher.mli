@@ -84,18 +84,6 @@ val packed_engine : grammar:Grammar.t -> Gg_tablegen.Packed.t -> engine
 val run_engine :
   ?trace:bool -> engine -> 'a callbacks -> Termname.token list -> 'a outcome
 
-(** The pre-optimisation shift/reduce loop — a [(state, value)] list
-    stack with a symtab lookup and a decoded [Tables.action] per
-    action.  Behaviourally identical to
-    {!run_engine} (same values, traces and rejects), with one caveat:
-    the loop backstop here budgets every action where {!run_engine}
-    budgets reductions only, so on a runaway chain-rule loop both
-    reject with token ["<looping>"] but may report a different [state].
-    Kept only as the baseline for differential tests and the throughput
-    benchmark. *)
-val run_engine_reference :
-  ?trace:bool -> engine -> 'a callbacks -> Termname.token list -> 'a outcome
-
 (** Linearise a tree and run the matcher over it. *)
 val run_tree_engine :
   ?trace:bool ->

@@ -203,7 +203,7 @@ let outcome_of runner tokens =
     Error (e.Matcher.at, e.Matcher.token, e.Matcher.state, e.Matcher.expected)
 
 let optimised e cb t = Matcher.run_engine ~trace:true e cb t
-let reference e cb t = Matcher.run_engine_reference ~trace:true e cb t
+let reference e cb t = Matcher_ref.run_engine_reference ~trace:true e cb t
 
 let prop_parity_on_random_trees =
   QCheck.Test.make ~name:"optimised = reference loop on random trees"

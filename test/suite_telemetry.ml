@@ -691,6 +691,45 @@ let test_assembly_unchanged_by_telemetry () =
   Alcotest.(check string)
     "telemetry does not change the code" plain instrumented
 
+(* -- production heat --------------------------------------------------------- *)
+
+(* `mdgtool heat` and [Targets.heat_profile] (the profiled tables'
+   input, and the exact report's fixed-corpus coverage) must count over
+   the same corpus: run the real binary and compare its production
+   count with the profile's distinct ids, per target *)
+let test_mdgtool_heat_matches_profile () =
+  let mdgtool =
+    (* tests run from _build/default/test; the tool sits next door *)
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." (Filename.concat "bin" "mdgtool.exe"))
+  in
+  List.iter
+    (fun target ->
+      let name = Gg_targets.Targets.name target in
+      let cmd =
+        Fmt.str "%s heat --target %s --top 0" (Filename.quote mdgtool) name
+      in
+      let ic = Unix.open_process_in cmd in
+      let lines = String.split_on_char '\n' (In_channel.input_all ic) in
+      if Unix.close_process_in ic <> Unix.WEXITED 0 then
+        Alcotest.failf "%s failed" cmd;
+      let fired =
+        match
+          List.find_map
+            (fun l -> Scanf.sscanf_opt l "productions fired: %d of" Fun.id)
+            lines
+        with
+        | Some n -> n
+        | None -> Alcotest.failf "%s: no \"productions fired\" line" cmd
+      in
+      let profile = Gg_targets.Targets.heat_profile target in
+      Alcotest.(check int)
+        (name ^ ": mdgtool heat = heat_profile")
+        (List.length profile.Gg_tablegen.Heat.counts)
+        fired)
+    Gg_targets.Targets.all
+
 let suite =
   [
     Alcotest.test_case "profile report: 0%%, not nan, on empty timers" `Quick
@@ -735,4 +774,6 @@ let suite =
       test_provenance_off_is_empty;
     Alcotest.test_case "assembly identical with telemetry on" `Quick
       test_assembly_unchanged_by_telemetry;
+    Alcotest.test_case "mdgtool heat counts what heat_profile counts" `Quick
+      test_mdgtool_heat_matches_profile;
   ]
