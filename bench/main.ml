@@ -9,12 +9,8 @@
    *shape* of each result (who wins, by what factor) is the target. *)
 
 open Gg_ir
-module Tables = Gg_tablegen.Tables
 module Naive = Gg_tablegen.Naive
 module Lr0 = Gg_tablegen.Lr0
-module Packed = Gg_tablegen.Packed
-module Matcher = Gg_matcher.Matcher
-module Transform = Gg_transform.Transform
 module Grammar_def = Gg_vax.Grammar_def
 module Driver = Gg_codegen.Driver
 module Backend = Gg_codegen.Backend
@@ -190,14 +186,29 @@ let bench_throughput () =
      participation would tax the clamped (possibly sequential) runs *)
   Parallel.shutdown ();
   let scaling = measure_jobs ~oversubscribe:false in
-  let speedup rows ns =
-    match List.assoc_opt 1 rows with Some n1 -> n1 /. ns | None -> nan
+  (* the same batches forced through real domains past the clamp: on a
+     multi-core host this matches the clamped curve; on a small host it
+     prices the pure pool overhead (condvar handoff + stop-the-world
+     GC across domains) that the clamp avoids paying *)
+  Parallel.shutdown ();
+  let pool_scaling = measure_jobs ~oversubscribe:true in
+  (* both curves' -j 1 run the same sequential path, yet the first
+     curve measured can still read slow (warm-up charged to it despite
+     best-of-N; one run read 3.65 against 2.21 ms/compile).  An inflated
+     baseline would let the floor pass on a regression, so every
+     speedup divides the faster of the two readings *)
+  let j1 =
+    List.fold_left
+      (fun acc rows ->
+        match List.assoc_opt 1 rows with Some ns -> Float.min acc ns | None -> acc)
+      infinity [ scaling; pool_scaling ]
   in
+  let speedup ns = j1 /. ns in
   let print_curve rows =
     List.iter
       (fun (j, ns) ->
         row "  -j %d:  %8.2f ms/compile   speedup %.2fx@." j (ns /. 1e6)
-          (speedup rows ns))
+          (speedup ns))
       rows
   in
   row
@@ -206,16 +217,12 @@ let bench_throughput () =
     (List.length prog.Tree.funcs)
     (Parallel.available ());
   print_curve scaling;
-  (* the same batches forced through real domains past the clamp: on a
-     multi-core host this matches the clamped curve; on a small host it
-     prices the pure pool overhead (condvar handoff + stop-the-world
-     GC across domains) that the clamp avoids paying *)
-  Parallel.shutdown ();
-  let pool_scaling = measure_jobs ~oversubscribe:true in
   row "same batches, forced multi-domain (pool overhead measurement):@.";
   print_curve pool_scaling;
+  row "-j 1 baseline (faster of the two -j 1 readings): %.2f ms/compile@."
+    (j1 /. 1e6);
   let j2 =
-    match List.assoc_opt 2 scaling with Some ns -> speedup scaling ns | None -> nan
+    match List.assoc_opt 2 scaling with Some ns -> speedup ns | None -> nan
   in
   row "-j 2 speedup vs -j 1: %.3fx (floor %.2f)@." j2 j2_floor;
   if not (j2 >= j2_floor) then begin
@@ -239,7 +246,7 @@ let bench_throughput () =
         p
           "      { \"jobs\": %d, \"ms_per_compile\": %.3f, \"speedup_vs_j1\": \
            %.3f }%s\n"
-          j (ns /. 1e6) (speedup rows ns)
+          j (ns /. 1e6) (speedup ns)
           (if k = List.length rows - 1 then "" else ","))
       rows;
     p "    ]%s\n" (if last then "" else ",")
@@ -723,71 +730,6 @@ let bench_retarget () =
   | _ -> row "measurement failed@."
 
 (* ============================================================================ *)
-(* SPECIALIZE: profile-guided table layout                                      *)
-(* ============================================================================ *)
-
-let bench_specialize () =
-  section
-    "SPECIALIZE: matcher time on the hot corpus, profile-free vs profiled \
-     tables";
-  let null_cb : unit Matcher.callbacks =
-    {
-      Matcher.on_shift = (fun _ -> ());
-      on_reduce = (fun _ _ -> ());
-      choose = (fun _ _ -> 0);
-    }
-  in
-  List.iter
-    (fun target ->
-      let name = Targets.name target in
-      let b = Targets.backend_of target in
-      let g = Lazy.force b.Backend.default_grammar in
-      (* the profile is the firing heat of the fixed corpus — the
-         "hot" workload the layout is shaped around *)
-      let dense = Tables.build g in
-      let packed = Packed.pack dense in
-      let spec = Packed.pack ~profile:(Targets.heat_profile target) dense in
-      (* the same programs the profile was collected from, pre-linearised
-         so the measurement targets the shift/reduce loop itself *)
-      let token_lists =
-        List.concat_map
-          (fun (_, src) ->
-            List.concat_map
-              (fun f ->
-                let tr = Transform.run ~leaf_need:b.Backend.leaf_need f in
-                List.filter_map
-                  (function
-                    | Tree.Stree t -> Some (Termname.linearize t) | _ -> None)
-                  tr.Transform.func.Tree.body)
-              (Sema.compile src).Tree.funcs)
-          Corpus.fixed_programs
-      in
-      (* replicate the corpus so one timed pass is several times the
-         timer/scheduler jitter, and take the best of many passes:
-         the per-probe delta being measured is a few percent *)
-      let rep_token_lists = List.concat (List.init 8 (fun _ -> token_lists)) in
-      let run_all e () =
-        List.iter
-          (fun toks -> ignore (Matcher.run_engine e null_cb toks))
-          rep_token_lists
-      in
-      let mres =
-        measure_ns_best
-          ~repeats:(if quick then 2 else 8)
-          [
-            ("m-packed-" ^ name, run_all (Matcher.packed_engine ~grammar:g packed));
-            ("m-spec-" ^ name, run_all (Matcher.packed_engine ~grammar:g spec));
-          ]
-      in
-      match (lookup mres ("m-packed-" ^ name), lookup mres ("m-spec-" ^ name)) with
-      | Some p, Some s ->
-        row "%-5s matcher, hot corpus: %.2f ms profile-free, %.2f ms profiled, \
-             speedup %.3fx@."
-          name (p /. 1e6) (s /. 1e6) (p /. s)
-      | _ -> row "%-5s measurement failed@." name)
-    Targets.all
-
-(* ============================================================================ *)
 
 let () =
   Fmt.pr "Table-driven code generation: timed benchmarks%s@."
@@ -798,7 +740,6 @@ let () =
       ("throughput", bench_throughput);
       ("retarget", bench_retarget);
       ("serve", bench_serve);
-      ("specialize", bench_specialize);
     ]
   in
   (match

@@ -545,9 +545,7 @@ let specialize () =
           Fmt.epr "%s: verification failed: %s@." name m;
           false
       in
-      let tables_of p =
-        Driver.of_engine ~backend:b (Matcher.packed_engine ~grammar:g p)
-      in
+      let tables_of packed = { Driver.grammar = g; packed; backend = b } in
       let base = tables_of packed and spec = tables_of profiled in
       let identical =
         List.for_all
@@ -558,7 +556,6 @@ let specialize () =
       in
       (* the probe split on the training corpus: the fixed programs the
          profile was collected from *)
-      let engine = Matcher.packed_engine ~grammar:g profiled in
       Metrics.enabled := true;
       Metrics.reset ();
       List.iter
@@ -568,7 +565,8 @@ let specialize () =
               let tr = Transform.run ~leaf_need:b.Backend.leaf_need f in
               List.iter
                 (function
-                  | Tree.Stree t -> ignore (Matcher.run_tree_engine engine null_cb t)
+                  | Tree.Stree t ->
+                    ignore (Matcher.run_tree ~grammar:g profiled null_cb t)
                   | _ -> ())
                 tr.Transform.func.Tree.body)
             (Sema.compile src).Tree.funcs)

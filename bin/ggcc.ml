@@ -52,7 +52,7 @@ let gg_tables ~target ~tables_file ~no_cache ~specialize () =
         p
       end
     in
-    Driver.of_engine ~backend:b (Gg_matcher.Matcher.packed_engine ~grammar:g packed)
+    { Driver.grammar = g; packed; backend = b }
   | None, Some profile ->
     Targets.specialized_tables ~use_cache:(not no_cache) ~profile target
   | None, None ->
@@ -295,7 +295,8 @@ let trace_cmd path target tables_file no_cache profile =
               | Tree.Stree t ->
                 Fmt.pr "@.tree: %a@." Tree.pp t;
                 let outcome =
-                  Gg_matcher.Matcher.run_tree_engine ~trace:true (Driver.engine tables) cb t
+                  Gg_matcher.Matcher.run_tree ~trace:true ~grammar:g
+                    tables.Driver.packed cb t
                 in
                 Fmt.pr "%a@."
                   (Gg_matcher.Matcher.pp_trace g)

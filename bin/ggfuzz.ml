@@ -1,8 +1,8 @@
 (* ggfuzz — differential fuzzing of the code generators.
 
    Generates seed-driven control-flow IR programs and checks, for every
-   seed, that the table-driven backend (dense and/or packed tables) and
-   the PCC-style baseline agree with the reference interpreter on all
+   seed, that the table-driven backend (per target and register
+   allocator) and the PCC-style baseline agree with the reference interpreter on all
    observables.  Divergences are greedily shrunk and persisted to a
    corpus of re-runnable reproducers.  Production-coverage accounting
    reports which grammar productions the campaign exercised. *)
@@ -47,21 +47,6 @@ let seeds_arg =
     & info [ "s"; "seeds" ] ~docv:"LO..HI"
         ~doc:"Inclusive seed range to fuzz (a single seed is also accepted).")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("dense", Campaign.Dense);
-             ("packed", Campaign.Packed);
-             ("both", Campaign.Both);
-           ])
-        Campaign.Both
-    & info [ "e"; "engine" ]
-        ~doc:"Table engine(s) for the gg backend: $(b,dense), $(b,packed) or \
-              $(b,both).")
-
 let regalloc_arg =
   Arg.(
     value
@@ -94,9 +79,8 @@ let target_arg =
     & info [ "t"; "target" ]
         ~doc:
           "Backend(s) under test: $(b,vax), $(b,risc) or $(b,both).  With \
-           $(b,both) the oracle is differential across machine descriptions \
-           as well as across table representations; the PCC baseline joins \
-           only when the VAX is selected.")
+           $(b,both) the oracle is differential across machine descriptions; \
+           the PCC baseline joins only when the VAX is selected.")
 
 let stmts_arg =
   Arg.(
@@ -218,7 +202,7 @@ let with_telemetry ~profile ~trace_out ~metrics ~metrics_out f =
   Option.iter Gg_profile.Trace.write trace_out;
   r
 
-let fuzz_cmd (seed_lo, seed_hi) engine regalloc targets stmts depth max_nest
+let fuzz_cmd (seed_lo, seed_hi) regalloc targets stmts depth max_nest
     functions straight_line corpus_dir coverage verbose_cov quiet shrink_checks
     jobs profile trace_out metrics metrics_out =
   (* run the campaign under the telemetry wrapper but exit after it, so
@@ -230,7 +214,6 @@ let fuzz_cmd (seed_lo, seed_hi) engine regalloc targets stmts depth max_nest
       Campaign.seed_lo;
       seed_hi;
       gen = { Treegen.stmts; depth; max_nest; functions };
-      engine;
       regalloc;
       targets;
       straight_line;
@@ -268,8 +251,8 @@ let fuzz_cmd (seed_lo, seed_hi) engine regalloc targets stmts depth max_nest
   in
   if n_div > 0 then exit 1
 
-let replay_cmd path engine regalloc targets =
-  match Campaign.replay ~engine ~regalloc ~targets path with
+let replay_cmd path regalloc targets =
+  match Campaign.replay ~regalloc ~targets path with
   | Ok outcome ->
     Fmt.pr "%s: all backends agree (return value %a)@." path
       Gg_ir.Interp.pp_value outcome.Gg_ir.Interp.return_value;
@@ -286,7 +269,7 @@ let replay_path_arg =
 let () =
   let fuzz_term =
     Term.(
-      const fuzz_cmd $ seeds_arg $ engine_arg $ regalloc_arg $ target_arg
+      const fuzz_cmd $ seeds_arg $ regalloc_arg $ target_arg
       $ stmts_arg
       $ depth_arg $ nest_arg $ functions_arg $ straight_arg $ corpus_arg
       $ coverage_arg $ verbose_cov_arg $ quiet_arg $ shrink_checks_arg
@@ -302,7 +285,7 @@ let () =
       (Cmd.info "replay"
          ~doc:"Re-run a persisted reproducer ($(b,.ir) dump) through the oracle.")
       Term.(
-        const replay_cmd $ replay_path_arg $ engine_arg $ regalloc_arg
+        const replay_cmd $ replay_path_arg $ regalloc_arg
         $ target_arg)
   in
   let info =

@@ -32,31 +32,22 @@ let default_options =
    any physical register number *)
 let vreg_base = 64
 
-type tables = { t_engine : Matcher.engine; t_backend : Backend.t }
+type tables = { grammar : Grammar.t; packed : Packed.t; backend : Backend.t }
 
-let engine t = t.t_engine
-let backend t = t.t_backend
-let grammar t = t.t_engine.Matcher.eng_grammar
-let of_engine ~backend e = { t_engine = e; t_backend = backend }
+let backend t = t.backend
+let grammar t = t.grammar
 
-(* The production representation is the comb-packed one; the dense
-   tables exist as an intermediate (and for differential testing via
-   Matcher.engine). *)
 let build_tables ?(backend = Backend.vax) gopts =
-  let g = backend.Backend.grammar_of gopts in
-  {
-    t_engine = Matcher.packed_engine ~grammar:g (Gg_tablegen.Cache.build g);
-    t_backend = backend;
-  }
+  let grammar = backend.Backend.grammar_of gopts in
+  { grammar; packed = Gg_tablegen.Cache.build grammar; backend }
 
 let cached_tables ?dir ?(backend = Backend.vax) gopts =
-  let g = backend.Backend.grammar_of gopts in
+  let grammar = backend.Backend.grammar_of gopts in
   let target = Backend.name backend in
   {
-    t_engine =
-      Matcher.packed_engine ~grammar:g
-        (Gg_tablegen.Cache.load_or_build ?dir ~target g);
-    t_backend = backend;
+    grammar;
+    packed = Gg_tablegen.Cache.load_or_build ?dir ~target grammar;
+    backend;
   }
 
 let default_tables = lazy (build_tables Grammar_def.default)
@@ -79,14 +70,16 @@ type output = {
 }
 
 let compile_stmts (tables : tables) sem (body : Tree.stmt list) =
-  let bk = tables.t_backend in
-  let cb = bk.Backend.callbacks sem (grammar tables) in
+  let bk = tables.backend in
+  let cb = bk.Backend.callbacks sem tables.grammar in
   List.iter
     (fun (s : Tree.stmt) ->
       match s with
       | Tree.Stree tree ->
         let match_tree () =
-          let outcome = Matcher.run_tree_engine tables.t_engine cb tree in
+          let outcome =
+            Matcher.run_tree ~grammar:tables.grammar tables.packed cb tree
+          in
           (match outcome.Matcher.value with
           | Desc.Done -> ()
           | Desc.D d ->
@@ -127,7 +120,7 @@ let reserved_registers ~alloc_regs (f : Tree.func) =
    registers under [Color]) inside its semantic state, the frame, and
    the register variables withheld from the bank. *)
 let match_func ~options tables (f : Tree.func) =
-  let backend = tables.t_backend in
+  let backend = tables.backend in
   let alloc_regs = backend.Backend.alloc_regs in
   let reserved = reserved_registers ~alloc_regs f in
   let pool = List.length alloc_regs - List.length reserved in
@@ -170,7 +163,7 @@ type color_input = {
 }
 
 let color_input_of ~options tables ~reserved ~frame sem =
-  let backend = tables.t_backend in
+  let backend = tables.backend in
   {
     ci_backend = backend;
     ci_bank =
@@ -211,7 +204,7 @@ let compile_func ?(options = default_options) tables (f : Tree.func) =
       (insns, prov, Some st)
   in
   let insns, prov =
-    match tables.t_backend.Backend.peephole with
+    match tables.backend.Backend.peephole with
     | Some pass when options.peephole ->
       (* the peephole pass deletes and rewrites instructions, so the
          provenance list is no longer parallel to the output: drop it *)
@@ -289,7 +282,7 @@ let render_explained (tables : tables) out =
     (fun (name, _, size) ->
       Buffer.add_string buf (Fmt.str "\t.comm\t%s,%d\n" name size))
     out.program.Tree.globals;
-  List.iter (render_func_explained tables.t_backend buf g) out.funcs;
+  List.iter (render_func_explained tables.backend buf g) out.funcs;
   Buffer.contents buf
 
 let render_program (bk : Backend.t) (p : Tree.program) funcs =
@@ -316,7 +309,7 @@ let compile_program ?(options = default_options) ?tables ?(jobs = 1)
     Parallel.map ~oversubscribe ~jobs (compile_func ~options tables)
       p.Tree.funcs
   in
-  { assembly = render_program tables.t_backend p funcs; funcs; program = p }
+  { assembly = render_program tables.backend p funcs; funcs; program = p }
 
 let singleton_func tree =
   {
@@ -342,16 +335,17 @@ let compile_tree_traced ?(options = default_options) ?tables tree =
   let frame = Frame.create ~locals_size:0 ~temps:tr.Transform.temps in
   let sem =
     Semantics.create ~idioms:options.idioms
-      ?move:tables.t_backend.Backend.move frame
+      ?move:tables.backend.Backend.move frame
   in
-  let cb = tables.t_backend.Backend.callbacks sem (grammar tables) in
+  let cb = tables.backend.Backend.callbacks sem tables.grammar in
   let traces = ref [] in
   List.iter
     (fun (s : Tree.stmt) ->
       match s with
       | Tree.Stree t ->
         let outcome =
-          Matcher.run_tree_engine ~trace:true tables.t_engine cb t
+          Matcher.run_tree ~trace:true ~grammar:tables.grammar tables.packed
+            cb t
         in
         traces := outcome.Matcher.trace :: !traces
       | _ -> ())

@@ -35,21 +35,19 @@ val default_options : options
 (** First virtual-register number in color mode. *)
 val vreg_base : int
 
-(** The driver's table handle: a {!Matcher.engine} paired with the
-    {!Backend.t} whose grammar built it, so every downstream consumer
-    (driver, oracle, server) renders, prices and simulates with the
-    right target.  The production representation is comb-packed
-    ({!Gg_tablegen.Packed}); wrap dense tables with {!of_engine} for
-    differential runs. *)
-type tables = { t_engine : Matcher.engine; t_backend : Backend.t }
+(** The driver's table handle: the one comb-packed table layout
+    ({!Gg_tablegen.Packed}) with the grammar it was built from and the
+    {!Backend.t} whose grammar that is, so every downstream consumer
+    (driver, oracle, server) matches, renders, prices and simulates
+    with the right target. *)
+type tables = {
+  grammar : Grammar.t;
+  packed : Packed.t;
+  backend : Backend.t;
+}
 
-val engine : tables -> Matcher.engine
 val backend : tables -> Backend.t
 val grammar : tables -> Grammar.t
-
-(** Pair an already-built engine (for example a dense one) with its
-    backend. *)
-val of_engine : backend:Backend.t -> Matcher.engine -> tables
 
 (** Build packed tables in-process for the given options and backend
     (default VAX); building is expensive, so build once and reuse

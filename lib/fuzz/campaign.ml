@@ -1,13 +1,11 @@
 open Import
 
-type engine_sel = Dense | Packed | Both
 type regalloc_sel = Rstack | Rcolor | Rboth
 
 type config = {
   seed_lo : int;
   seed_hi : int;
   gen : Treegen.config;
-  engine : engine_sel;
   regalloc : regalloc_sel;
   targets : Backend.target list;
   straight_line : bool;
@@ -22,7 +20,6 @@ let default_config =
     seed_lo = 0;
     seed_hi = 100;
     gen = Treegen.default_config;
-    engine = Both;
     regalloc = Rstack;
     targets = [ Backend.Vax ];
     straight_line = false;
@@ -47,23 +44,14 @@ type result = {
   seconds : float;
 }
 
-let engines_of ?(targets = [ Backend.Vax ]) ?(regalloc = Rstack) sel =
+(* one engine per target and selected allocator *)
+let engines_of ~targets ~regalloc =
   List.concat_map
     (fun target ->
-      let stack =
-        match sel with
-        | Dense -> [ Oracle.dense_engine_for target ]
-        | Packed -> [ Oracle.packed_engine_for target ]
-        | Both ->
-          [ Oracle.dense_engine_for target; Oracle.packed_engine_for target ]
-      in
-      (* the color engine always runs the packed tables: the allocator
-         is downstream of matching, so the table representation is
-         covered by the stack engines *)
       match regalloc with
-      | Rstack -> stack
+      | Rstack -> [ Oracle.engine_for target ]
       | Rcolor -> [ Oracle.color_engine_for target ]
-      | Rboth -> stack @ [ Oracle.color_engine_for target ])
+      | Rboth -> [ Oracle.engine_for target; Oracle.color_engine_for target ])
     targets
 
 let program_of_seed cfg seed =
@@ -110,9 +98,7 @@ let handle_divergence cfg engines seed prog (failure : Oracle.failure) =
 
 let run cfg : result =
   let t0 = Unix.gettimeofday () in
-  let engines =
-    engines_of ~targets:cfg.targets ~regalloc:cfg.regalloc cfg.engine
-  in
+  let engines = engines_of ~targets:cfg.targets ~regalloc:cfg.regalloc in
   let pcc = pcc_of_targets cfg.targets in
   let divergences = ref [] in
   let programs = ref 0 in
@@ -152,9 +138,8 @@ let run cfg : result =
     seconds = Unix.gettimeofday () -. t0;
   }
 
-let replay ?(engine = Both) ?(regalloc = Rstack) ?(targets = [ Backend.Vax ])
-    path =
+let replay ?(regalloc = Rstack) ?(targets = [ Backend.Vax ]) path =
   let prog = Dump.load_ir path in
   Oracle.check ~pcc:(pcc_of_targets targets)
-    ~engines:(engines_of ~targets ~regalloc engine)
+    ~engines:(engines_of ~targets ~regalloc)
     prog

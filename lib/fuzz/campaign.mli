@@ -3,22 +3,20 @@ open Import
 (** Seed-range differential fuzz campaigns.
 
     For every seed in the range: generate a control-flow IR program,
-    run it through the three-way oracle on each selected table engine,
+    run it through the three-way oracle on each selected target and
+    register allocator,
     and on failure greedily shrink it (re-checking the oracle at every
     step) and persist the reproducer to the divergence corpus. *)
 
-type engine_sel = Dense | Packed | Both
-
 (** Register allocator(s) under test: the stack discipline, the graph
     colorer, or both — [Rboth] adds a [<target>-color] engine next to
-    the stack ones, so the oracle is differential over the allocator. *)
+    the stack one, so the oracle is differential over the allocator. *)
 type regalloc_sel = Rstack | Rcolor | Rboth
 
 type config = {
   seed_lo : int;
   seed_hi : int;  (** inclusive *)
   gen : Treegen.config;
-  engine : engine_sel;
   regalloc : regalloc_sel;
   targets : Backend.target list;
       (** backends under test; the PCC baseline joins only when the
@@ -52,20 +50,11 @@ type result = {
 (** Generate the program a campaign would run for one seed. *)
 val program_of_seed : config -> int -> Tree.program
 
-(** The engines a selection denotes for each target (default VAX
-    only), built for the default grammar. *)
-val engines_of :
-  ?targets:Backend.target list ->
-  ?regalloc:regalloc_sel ->
-  engine_sel ->
-  Oracle.engines
-
 val run : config -> result
 
 (** Re-run one persisted reproducer ([.ir] dump) through the oracle;
     [Ok] means it no longer diverges. *)
 val replay :
-  ?engine:engine_sel ->
   ?regalloc:regalloc_sel ->
   ?targets:Backend.target list ->
   string ->

@@ -55,36 +55,20 @@ type engines = engine list
 
 let engine ?options e_name e_tables = { e_name; e_tables; e_options = options }
 
-(* engines for an arbitrary target, named <target>-<representation> so
-   a failure pins down both the backend and the table encoding *)
-let dense_engine_for target =
-  let b = Targets.backend_of target in
-  engine
-    (Targets.name target ^ "-dense")
-    (Driver.of_engine ~backend:b
-       (Matcher.engine (Tables.build (Lazy.force b.Backend.default_grammar))))
+(* engines for an arbitrary target, named after it so a failure pins
+   down the machine description *)
+let engine_for target =
+  engine (Targets.name target) (Targets.default_tables target)
 
-let packed_engine_for target =
-  engine (Targets.name target ^ "-packed") (Targets.default_tables target)
-
-(* the packed tables again, but allocating with the graph colorer: in a
-   mixed engine list the oracle pits stack against color through the
-   shared interpreter reference *)
+(* the same tables, but allocating with the graph colorer: in a mixed
+   engine list the oracle pits stack against color through the shared
+   interpreter reference *)
 let color_engine_for target =
   engine
     ~options:
       { Driver.default_options with Driver.regalloc = Driver.Color }
     (Targets.name target ^ "-color")
     (Targets.default_tables target)
-
-(* the historical names for the original backend *)
-let dense_engine () =
-  engine "gg-dense"
-    (Driver.of_engine ~backend:Backend.vax
-       (Matcher.engine (Tables.build (default_grammar ()))))
-
-let packed_engine () = engine "gg-packed" (Lazy.force Driver.default_tables)
-let default_engines () = [ packed_engine () ]
 
 let check ?(options = Driver.default_options) ?(pcc = true) ?(jobs = 1)
     ?(max_steps = 10_000_000) ~(engines : engines) (prog : Tree.program) =

@@ -4,7 +4,7 @@ open Import
 
     Every program is executed several ways — the reference interpreter
     on the IR, the table-driven backends' output under their target
-    simulators (VAX and/or RISC, dense and/or packed tables), and the
+    simulators (VAX and/or RISC, stack and/or color allocation), and the
     PCC-style baseline under the VAX simulator — and all observables
     (return value, final scalar globals, print output) must agree.
     This is the paper's correctness claim (section 8) as a standing
@@ -34,11 +34,11 @@ exception Invalid of string
 val compare_observations :
   reference:Interp.outcome -> Simout.t -> (unit, string) result
 
-(** A named table engine for the gg backend, with an optional
-    per-engine compile-options override.  Running both the dense and
-    the packed engines makes the oracle differential over the table
-    representation; mixing stack- and color-allocating engines makes it
-    differential over the register allocator too. *)
+(** A named gg backend configuration: target tables plus an optional
+    per-engine compile-options override.  Mixing stack- and
+    color-allocating engines makes the oracle differential over the
+    register allocator; mixing targets makes it differential over the
+    machine descriptions. *)
 type engine = {
   e_name : string;
   e_tables : Driver.tables;
@@ -50,26 +50,14 @@ type engines = engine list
 
 val engine : ?options:Driver.options -> string -> Driver.tables -> engine
 
-(** The default VAX grammar the engines below are built for. *)
+(** The default VAX grammar. *)
 val default_grammar : unit -> Grammar.t
 
-(** Default engine set: the packed production tables only. *)
-val default_engines : unit -> engines
+(** A target's default tables, named [<target>] so a failure pins down
+    the machine description. *)
+val engine_for : Backend.target -> engine
 
-(** Build [gg-dense] / [gg-packed] engines in-process for the default
-    grammar. *)
-val dense_engine : unit -> engine
-
-val packed_engine : unit -> engine
-
-(** Engines for any target, named [<target>-dense] / [<target>-packed]
-    so a failure pins down both the machine description and the table
-    representation. *)
-val dense_engine_for : Backend.target -> engine
-
-val packed_engine_for : Backend.target -> engine
-
-(** The packed tables allocating with [--regalloc color], named
+(** The same tables allocating with [--regalloc color], named
     [<target>-color]. *)
 val color_engine_for : Backend.target -> engine
 

@@ -6,6 +6,7 @@ type t = {
   mutable n_terms : int;
   mutable nonterm_names : string array;
   mutable n_nonterms : int;
+  term_cache : (string * int) array;
 }
 
 let create () =
@@ -15,6 +16,7 @@ let create () =
     n_terms = 0;
     nonterm_names = Array.make 64 "";
     n_nonterms = 0;
+    term_cache = Array.make 64 ("", -1);
   }
 
 let is_terminal_name s =
@@ -60,11 +62,26 @@ let intern t s =
 
 let find t s = Hashtbl.find_opt t.by_name s
 
+(* A small direct-mapped cache in front of the hashtable.  Token names
+   are shared string constants ({!Gg_ir.Termname}), so after the first
+   lookup a name is recognised by pointer.  Each slot holds one
+   immutable (name, id) pair and an update is a single pointer store,
+   so the cache is safe to share between domains: a racing reader sees
+   either the old or the new pair, and a lost update only costs a
+   future miss.  Only terminals are cached, and a terminal's id never
+   changes once interned, so no entry goes stale and ids stay
+   cache-independent (parallel compiles stay deterministic). *)
 let term_id t s =
-  match Hashtbl.find t.by_name s with
-  | T i -> i
-  | N _ -> -1
-  | exception Not_found -> -1
+  let slot = (Char.code (String.unsafe_get s 0) + String.length s) land 63 in
+  let cs, cid = Array.unsafe_get t.term_cache slot in
+  if cs == s then cid
+  else
+    match Hashtbl.find t.by_name s with
+    | T i ->
+      Array.unsafe_set t.term_cache slot (s, i);
+      i
+    | N _ -> -1
+    | exception Not_found -> -1
 
 let term_name t i =
   assert (i >= 0 && i < t.n_terms);

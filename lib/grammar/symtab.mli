@@ -26,8 +26,10 @@ val find : t -> string -> sym option
 
 (** [term_id t s] is the terminal index of [s], or [-1] when [s] is
     unknown or a non-terminal.  Equivalent to {!find} but allocation
-    free — the matcher interns every token of every tree through
-    this. *)
+    free after the first lookup of a name — the matcher interns every
+    token of every tree through this.  A pointer-equality cache over
+    the table recognises the shared token-name constants without
+    hashing; it is safe to share between domains. *)
 val term_id : t -> string -> int
 
 val name : t -> sym -> string

@@ -2,6 +2,5 @@
 module Grammar = Gg_grammar.Grammar
 module Symtab = Gg_grammar.Symtab
 module Action = Gg_grammar.Action
-module Tables = Gg_tablegen.Tables
 module Termname = Gg_ir.Termname
 module Tree = Gg_ir.Tree

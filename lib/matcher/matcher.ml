@@ -23,21 +23,20 @@ exception Reject of error
 
 type 'a outcome = { value : 'a; trace : step list }
 
-(* The generic driver, abstracted over table access so both the dense
-   and the packed representations can drive it.
+(* The shift/reduce loop over the one table layout, {!Packed.t}: every
+   probe is a direct call into [Packed], never an indirect one.
 
-   The shift/reduce loop is the compiler's hottest code (paper Fig. 2:
-   ~half of code generation), so it allocates nothing per action: the
-   parse stack is a pair of preallocated growable arrays instead of a
-   (state, value) list, each token is interned to its terminal id
-   exactly once — when it becomes the lookahead, which is then carried
-   through consecutive reductions instead of being re-derived at every
-   step ({!Symtab.term_id}, allocation free) — and actions arrive as
-   integer codes ({!Gg_tablegen.Packed.action_code}) rather than
-   [Tables.action] blocks, which the packed lookup would otherwise
-   rebuild on every probe.  The only per-reduction allocation left is
-   the argument array handed to [on_reduce], which is part of the
-   callback contract. *)
+   The loop is the compiler's hottest code (paper Fig. 2: ~half of code
+   generation), so it allocates nothing per action: the parse stack is
+   a pair of preallocated growable arrays instead of a (state, value)
+   list, each token is interned to its terminal id exactly once — when
+   it becomes the lookahead, which is then carried through consecutive
+   reductions instead of being re-derived at every step
+   ({!Symtab.term_id}, allocation free) — and actions arrive as integer
+   codes ({!Packed.action_code}) rather than [Tables.action] blocks,
+   which the lookup would otherwise rebuild on every probe.  The only
+   per-reduction allocation left is the argument array handed to
+   [on_reduce], which is part of the callback contract. *)
 (* The state half of the parse stack is a monomorphic int array, so
    each domain keeps one across runs instead of allocating per tree
    (the ['a] value half cannot be reused without erasure tricks).
@@ -48,10 +47,14 @@ type state_scratch = { mutable st : int array; mutable busy : bool }
 let scratch_key =
   Domain.DLS.new_key (fun () -> { st = [||]; busy = false })
 
-let run_with ?(trace = false) ~(g : Grammar.t) ~eof
-    ~(intern : string -> int) ~(code : int -> int -> int)
-    ~(tie : int -> int array) ~(goto : int -> int -> int)
-    ~(expected : int -> int list) ~split cb tokens =
+let run ?(trace = false) ~grammar:(g : Grammar.t) (packed : Packed.t) cb
+    tokens =
+  let symtab = g.Grammar.symtab in
+  let eof = Symtab.n_terms symtab in
+  (* the tables keep cold states: when {!Metrics.enabled}, each
+     completed run adds its probes to the named counters
+     [matcher.probe_hits_hot] and [matcher.probe_hits_cold] *)
+  let split = Array.length packed.Packed.cold_off > 0 in
   let ctrs = Profile.counters () in
   let reds0 = ctrs.Profile.reduces in
   let shifts0 = ctrs.Profile.shifts in
@@ -98,8 +101,8 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
   in
   let expected_names s =
     List.map
-      (fun a -> if a = eof then "<eof>" else Symtab.term_name g.symtab a)
-      (expected s)
+      (fun a -> if a = eof then "<eof>" else Symtab.term_name symtab a)
+      (Packed.expected packed s)
   in
   let reject i a =
     ctrs.Profile.rejects <- ctrs.Profile.rejects + 1;
@@ -107,7 +110,7 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
       (Reject
          {
            at = i;
-           token = (if a = eof then "<eof>" else Symtab.term_name g.symtab a);
+           token = (if a = eof then "<eof>" else Symtab.term_name symtab a);
            state = !state;
            expected = expected_names !state;
          })
@@ -122,7 +125,7 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
   (* [rest] is the unconsumed token suffix starting at position [i];
      [a] is the interned lookahead ([eof] once [rest] is empty) *)
   let rec loop rest i a =
-    let c = code !state a in
+    let c = Packed.action_code packed !state a in
     if c = 0 then reject i a
     else
       match c land 3 with
@@ -162,7 +165,7 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
            violation would silently corrupt the stack. *)
         ctrs.Profile.reduces <- ctrs.Profile.reduces + 1;
         ctrs.Profile.semantic_choices <- ctrs.Profile.semantic_choices + 1;
-        let candidates = tie ((c lsr 2) - 1) in
+        let candidates = Packed.tie_candidates packed ((c lsr 2) - 1) in
         let prods = Array.map (Grammar.production g) candidates in
         let len = Array.length prods.(0).rhs in
         Array.iter
@@ -199,7 +202,7 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
     let exposed = Array.unsafe_get !st_states base in
     if trace then record (Sreduce p.Grammar.id);
     let v = cb.on_reduce p args in
-    let target = goto exposed p.Grammar.lhs in
+    let target = Packed.goto packed exposed p.Grammar.lhs in
     if target < 0 then reject i a;
     (* pop the rhs and push the lhs value in one move *)
     Array.unsafe_set !st_values base v;
@@ -210,7 +213,7 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
     match rest with
     | [] -> loop [] i eof
     | tok :: _ ->
-      let a = intern tok.Termname.term in
+      let a = Symtab.term_id symtab tok.Termname.term in
       if a < 0 then
         (* unknown terminal: reject the moment it becomes the lookahead *)
         raise
@@ -255,76 +258,8 @@ let run_with ?(trace = false) ~(g : Grammar.t) ~eof
   end;
   { value; trace = List.rev !steps }
 
-type engine = {
-  eng_grammar : Grammar.t;
-  eng_eof : int;
-  eng_code : int -> int -> int;
-  eng_tie : int -> int array;
-  eng_goto : int -> int -> int;
-  eng_expected : int -> int list;
-  eng_intern : string -> int;
-  eng_split : bool;
-}
-
-(* Terminal interning with a small direct-mapped cache in front of the
-   symtab hashtable.  Token names are shared string constants
-   ({!Termname}), so after the first miss a name is recognised by
-   pointer.  Each slot holds one immutable (name, id) pair and an
-   update is a single pointer store, so the cache is safe to share
-   between domains: a racing reader sees either the old or the new
-   pair, and a lost update only costs a future miss.  Ids are
-   cache-independent, so parallel compiles stay deterministic. *)
-let interner symtab =
-  let cache = Array.make 64 ("", -2) in
-  fun s ->
-    let slot = (Char.code (String.unsafe_get s 0) + String.length s) land 63 in
-    let cs, cid = Array.unsafe_get cache slot in
-    if cs == s then cid
-    else begin
-      let id = Symtab.term_id symtab s in
-      Array.unsafe_set cache slot (s, id);
-      id
-    end
-
-let engine (tables : Tables.t) =
-  (* encode once at construction so the dense engine shares the
-     allocation-free hot loop with the packed one *)
-  let codes, aux = Packed.encode_table tables in
-  let g = Tables.grammar tables in
-  {
-    eng_grammar = g;
-    eng_eof = Tables.eof tables;
-    eng_code = (fun s a -> codes.(s).(a));
-    eng_tie = (fun i -> aux.(i));
-    eng_goto = (fun s n -> tables.Tables.goto_.(s).(n));
-    eng_expected = Tables.expected tables;
-    eng_intern = interner g.Grammar.symtab;
-    eng_split = false;
-  }
-
-let packed_engine ~grammar (packed : Packed.t) =
-  let g : Grammar.t = grammar in
-  (* eta-expanded on purpose: a partial application would compile to an
-     arity-1 curry chain, costing two indirect calls per table probe in
-     the hot loop; these are direct arity-2 closures *)
-  {
-    eng_grammar = g;
-    eng_eof = Symtab.n_terms g.Grammar.symtab;
-    eng_code = (fun s a -> Packed.action_code packed s a);
-    eng_tie = (fun i -> Packed.tie_candidates packed i);
-    eng_goto = (fun s n -> Packed.goto packed s n);
-    eng_expected = (fun s -> Packed.expected packed s);
-    eng_intern = interner g.Grammar.symtab;
-    eng_split = Array.length packed.Packed.cold_off > 0;
-  }
-
-let run_engine ?trace e cb tokens =
-  run_with ?trace ~g:e.eng_grammar ~eof:e.eng_eof ~intern:e.eng_intern
-    ~code:e.eng_code ~tie:e.eng_tie ~goto:e.eng_goto
-    ~expected:e.eng_expected ~split:e.eng_split cb tokens
-
-let run_tree_engine ?trace ?special_constants e cb tree =
-  run_engine ?trace e cb (Termname.linearize ?special_constants tree)
+let run_tree ?trace ?special_constants ~grammar packed cb tree =
+  run ?trace ~grammar packed cb (Termname.linearize ?special_constants tree)
 
 let pp_step g ppf = function
   | Sshift name -> Fmt.pf ppf "shift  %s" name

@@ -37,58 +37,34 @@ exception Reject of error
 
 type 'a outcome = { value : 'a; trace : step list }
 
-(** A table representation bound to its lookup functions.  The matcher
-    is driven through this record, so the dense and the comb-packed
-    representations are interchangeable end to end — the production
-    path runs packed ({!packed_engine}); the dense form is kept for
-    differential testing ({!engine}). *)
-type engine = {
-  eng_grammar : Grammar.t;
-  eng_eof : int;  (** terminal index of the end marker *)
-  eng_code : int -> int -> int;
-      (** an action cell as an integer code
-          ({!Gg_tablegen.Packed.action_code}'s encoding); drives the hot
-          loop without allocating a [Tables.action] per probe *)
-  eng_tie : int -> int array;
-      (** candidate productions of semantic tie [i] in the codes *)
-  eng_goto : int -> int -> int;
-  eng_expected : int -> int list;
-      (** terminals with a non-error action, for diagnostics *)
-  eng_intern : string -> int;
-      (** terminal id of a token name, [-1] if unknown; a
-          pointer-equality cache over {!Gg_grammar.Symtab.term_id},
-          safe to share between domains *)
-  eng_split : bool;
-      (** the packed tables keep cold states: when
-          {!Gg_profile.Metrics.enabled}, each completed run adds its
-          probes to the named counters [matcher.probe_hits_hot] and
-          [matcher.probe_hits_cold] *)
-}
-
-val engine : Tables.t -> engine
-
-(** The packed engine is behaviourally identical to the dense one,
-    including error positions and expected sets (see
-    {!Gg_tablegen.Packed}). *)
-val packed_engine : grammar:Grammar.t -> Gg_tablegen.Packed.t -> engine
-
-(** [run_engine engine callbacks tokens] parses one linearised tree.
-    Returns the semantic value of the start symbol.  Raises {!Reject}
-    on a syntactic block — which, per the paper, indicates a bug in the
+(** [run ~grammar packed callbacks tokens] parses one linearised tree
+    over the tables [packed] built from [grammar].  Returns the
+    semantic value of the start symbol.  Raises {!Reject} on a
+    syntactic block — which, per the paper, indicates a bug in the
     machine description, not in the program being compiled.
 
     The loop is allocation-free per action: the parse stack is a pair
-    of preallocated arrays, the token stream is interned to terminal
-    ids once before the loop, and the lookahead is carried across
-    consecutive reductions. *)
-val run_engine :
-  ?trace:bool -> engine -> 'a callbacks -> Termname.token list -> 'a outcome
+    of preallocated arrays, each token is interned to its terminal id
+    once ({!Gg_grammar.Symtab.term_id}), the lookahead is carried across
+    consecutive reductions, and every table probe is a direct call into
+    {!Gg_tablegen.Packed}.  When the tables keep cold states and
+    {!Gg_profile.Metrics.enabled} is set, each completed run adds its
+    probes to the named counters [matcher.probe_hits_hot] and
+    [matcher.probe_hits_cold]. *)
+val run :
+  ?trace:bool ->
+  grammar:Grammar.t ->
+  Gg_tablegen.Packed.t ->
+  'a callbacks ->
+  Termname.token list ->
+  'a outcome
 
 (** Linearise a tree and run the matcher over it. *)
-val run_tree_engine :
+val run_tree :
   ?trace:bool ->
   ?special_constants:bool ->
-  engine ->
+  grammar:Grammar.t ->
+  Gg_tablegen.Packed.t ->
   'a callbacks ->
   Tree.t ->
   'a outcome

@@ -449,11 +449,6 @@ let action_code t s a =
 let tie_candidates t i = t.aux.(i)
 let action t s a = decode (tie_candidates t) (action_code t s a)
 
-let encode_table (tables : Tables.t) =
-  let ties = ties () in
-  let codes = Array.map (Array.map (encode ties)) tables.Tables.action in
-  (codes, tie_arrays ties)
-
 let expected t s =
   let acc = ref [] in
   for a = t.n_terms downto 0 do

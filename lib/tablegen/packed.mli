@@ -148,11 +148,6 @@ val tie_candidates : t -> int -> int array
     all tables: a running count, read before and after a matcher run. *)
 val cold_probes : unit -> int
 
-(** Encode a dense table's action matrix into the same integer codes,
-    plus the tie-candidate arrays indexed by the codes' [i] — lets the
-    dense engine share the matcher's allocation-free hot loop. *)
-val encode_table : Tables.t -> int array array * int array array
-
 (** [has_action t s a] — does state [s] have a non-error action on
     terminal [a]?  O(1) bitset probe. *)
 val has_action : t -> int -> int -> bool
@@ -172,7 +167,9 @@ val digest : t -> string
 
 (** Cell-for-cell parity against the dense tables: every action cell
     (including [Error]), every goto, every expected set.  [Error _]
-    names the first differing cell. *)
+    names the first differing cell.  This exhaustive proof is why the
+    matcher runs over the packed tables alone, with no run-time diff
+    against the dense ones. *)
 val verify : t -> Tables.t -> (unit, string) result
 
 type stats = {

@@ -59,8 +59,7 @@ let specialized_tables ?dir ?(use_cache = true) ~profile target =
       Gg_tablegen.Cache.load_or_build ?dir ~target:(name target) ~profile g
     else Gg_tablegen.Cache.build ~profile g
   in
-  Driver.of_engine ~backend:b
-    (Gg_matcher.Matcher.packed_engine ~grammar:g packed)
+  { Driver.grammar = g; packed; backend = b }
 
 (* the (target name, grammar) pairs a cache eviction must keep *)
 let live_cache_entries gopts =

@@ -1,23 +1,29 @@
-(* The pre-optimisation shift/reduce loop, the test oracle for
-   Matcher.run_engine: a (state, value) list stack, a symtab lookup
-   and a decoded [Tables.action] per action.  suite_parallel holds the
-   two loops to identical values, traces and rejects on random trees
-   and random token streams.  One known difference: this loop budgets
-   every action where run_engine budgets reductions only, so on a
-   runaway chain-rule loop both reject with token "<looping>" but may
-   report a different state. *)
+(* The pre-optimisation shift/reduce loop over the dense tables, the
+   test oracle for Matcher.run over the packed ones: a (state, value)
+   list stack, a symtab lookup, and a decoded [Tables.action] read
+   straight from the dense matrix for every action.  Diffing the two
+   tests two loops and two table layouts at once.  suite_parallel holds
+   them to identical values, traces and rejects on random trees and
+   random token streams, including the "<looping>" reject both raise
+   once a runaway chain-rule loop exhausts the same reduction budget.
+
+   [probe s a] reads the action cell, [tables.action.(s).(a)] unless
+   given: a counting probe over a layout that {!Packed.verify} proved
+   equal measures which cells a run reads. *)
 
 module Grammar = Gg_grammar.Grammar
 module Symtab = Gg_grammar.Symtab
 module Tables = Gg_tablegen.Tables
-module Packed = Gg_tablegen.Packed
 module Termname = Gg_ir.Termname
 module Matcher = Gg_matcher.Matcher
 module Profile = Gg_profile.Profile
 
-let run_engine_reference ?(trace = false) (e : Matcher.engine)
+let run ?(trace = false) ?probe (tables : Tables.t)
     (cb : 'a Matcher.callbacks) tokens : 'a Matcher.outcome =
-  let g = e.Matcher.eng_grammar and eof = e.Matcher.eng_eof in
+  let probe =
+    match probe with Some p -> p | None -> fun s a -> tables.Tables.action.(s).(a)
+  in
+  let g = Tables.grammar tables and eof = Tables.eof tables in
   let ctrs = Profile.counters () in
   let tokens = Array.of_list tokens in
   let n = Array.length tokens in
@@ -38,7 +44,7 @@ let run_engine_reference ?(trace = false) (e : Matcher.engine)
   let expected_names s =
     List.map
       (fun a -> if a = eof then "<eof>" else Symtab.term_name g.Grammar.symtab a)
-      (e.Matcher.eng_expected s)
+      (Tables.expected tables s)
   in
   let reject i a =
     ctrs.Profile.rejects <- ctrs.Profile.rejects + 1;
@@ -54,18 +60,8 @@ let run_engine_reference ?(trace = false) (e : Matcher.engine)
   in
   let budget = ref ((64 * n) + 1024) in
   let rec loop i =
-    decr budget;
-    if !budget < 0 then
-      raise
-        (Matcher.Reject
-           {
-             at = min i (n - 1) |> max 0;
-             token = "<looping>";
-             state = !state;
-             expected = expected_names !state;
-           });
     let a = term_id i in
-    match Packed.decode e.Matcher.eng_tie (e.Matcher.eng_code !state a) with
+    match probe !state a with
     | Tables.Shift s' ->
       ctrs.Profile.shifts <- ctrs.Profile.shifts + 1;
       record (Matcher.Sshift tokens.(i).Termname.term);
@@ -108,6 +104,16 @@ let run_engine_reference ?(trace = false) (e : Matcher.engine)
           candidates.(idx)
         end
       in
+      decr budget;
+      if !budget < 0 then
+        raise
+          (Matcher.Reject
+             {
+               at = min i (n - 1) |> max 0;
+               token = "<looping>";
+               state = !state;
+               expected = expected_names !state;
+             });
       Profile.record_production pid;
       let p = Grammar.production g pid in
       let len = Array.length p.Grammar.rhs in
@@ -115,7 +121,7 @@ let run_engine_reference ?(trace = false) (e : Matcher.engine)
       let exposed = match popped with (s, _) :: _ -> s | [] -> assert false in
       record (Matcher.Sreduce pid);
       let v = cb.Matcher.on_reduce p args in
-      let target = e.Matcher.eng_goto exposed p.Grammar.lhs in
+      let target = tables.Tables.goto_.(exposed).(p.Grammar.lhs) in
       if target < 0 then reject i a;
       stack := (exposed, v) :: rest;
       state := target;

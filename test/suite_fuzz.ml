@@ -1,5 +1,6 @@
 (* The fuzzing subsystem itself: determinism and well-formedness of the
-   control-flow generator, packed-vs-dense parity on fuzzed trees
+   control-flow generator, parity of the matcher over the packed tables
+   with the reference loop over the dense ones on fuzzed trees
    (property-based), the greedy shrinker, production-coverage
    accounting, and a small oracle campaign. *)
 
@@ -84,12 +85,7 @@ let test_uses_control_flow () =
 
 let vax_grammar = lazy (Oracle.default_grammar ())
 let dense_tables = lazy (Tables.build (Lazy.force vax_grammar))
-let dense_engine = lazy (Matcher.engine (Lazy.force dense_tables))
-
-let packed_engine =
-  lazy
-    (Matcher.packed_engine ~grammar:(Lazy.force vax_grammar)
-       (Packed.pack (Lazy.force dense_tables)))
+let packed_tables = lazy (Packed.pack (Lazy.force dense_tables))
 
 let null_cb : unit Matcher.callbacks =
   {
@@ -109,10 +105,18 @@ let fuzzed_trees seed =
         tr.Transform.func.Tree.body)
     prog.Tree.funcs
 
-let trace_of engine tokens =
-  match Matcher.run_engine ~trace:true engine null_cb tokens with
-  | outcome -> Ok outcome.Matcher.trace
+let trace_of run tokens =
+  match run ~trace:true null_cb tokens with
+  | (outcome : unit Matcher.outcome) -> Ok outcome.Matcher.trace
   | exception Matcher.Reject e -> Error (e.Matcher.at, e.Matcher.token)
+
+let dense_trace =
+  trace_of (fun ~trace -> Matcher_ref.run ~trace (Lazy.force dense_tables))
+
+let packed_trace =
+  trace_of (fun ~trace ->
+      Matcher.run ~trace ~grammar:(Lazy.force vax_grammar)
+        (Lazy.force packed_tables))
 
 let prop_packed_equals_dense_on_fuzzed =
   QCheck.Test.make ~name:"packed = dense on fuzzed control-flow trees"
@@ -124,8 +128,7 @@ let prop_packed_equals_dense_on_fuzzed =
           let tokens = Termname.linearize tree in
           (* cell-for-cell: the full shift/reduce traces, not just the
              final assembly, must coincide *)
-          trace_of (Lazy.force dense_engine) tokens
-          = trace_of (Lazy.force packed_engine) tokens)
+          dense_trace tokens = packed_trace tokens)
         (fuzzed_trees seed))
 
 (* -- shrinker --------------------------------------------------------------- *)
@@ -253,7 +256,7 @@ let suite =
       test_coverage_accounting;
     Alcotest.test_case "fuzzer beats baseline coverage" `Slow
       test_fuzz_beats_baseline_coverage;
-    Alcotest.test_case "mini oracle campaign, both engines" `Slow
+    Alcotest.test_case "mini oracle campaign" `Slow
       test_mini_campaign;
     Alcotest.test_case "dump round-trip" `Quick test_dump_roundtrip;
   ]

@@ -1,6 +1,7 @@
 (* Tests for the shift/reduce pattern matcher: parses of linearised
-   trees against the toy grammar, maximal munch behaviour, traces, and
-   error reporting. *)
+   trees against the toy grammar, maximal munch behaviour, traces,
+   error reporting, and parity with the reference loop over the dense
+   tables. *)
 
 open Gg_tablegen
 open Gg_matcher
@@ -10,14 +11,20 @@ module Op = Gg_ir.Op
 module Termname = Gg_ir.Termname
 
 let tables = lazy (Tables.build Toy.grammar)
-let engine = lazy (Matcher.engine (Lazy.force tables))
+let packed = lazy (Packed.pack (Lazy.force tables))
+
+(* the production path: the matcher over the packed toy tables *)
+let run_toy ?trace cb tokens =
+  Matcher.run ?trace ~grammar:Toy.grammar (Lazy.force packed) cb tokens
+
+let run_toy_tree ?trace ?special_constants cb tree =
+  Matcher.run_tree ?trace ?special_constants ~grammar:Toy.grammar
+    (Lazy.force packed) cb tree
 
 let run_tree tree =
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  let outcome =
-    Matcher.run_tree_engine ~trace:true (Lazy.force engine) cb tree
-  in
+  let outcome = run_toy_tree ~trace:true cb tree in
   (List.rev !emitted, outcome)
 
 let test_simple_assign () =
@@ -69,7 +76,7 @@ let test_reject_unknown_terminal () =
   in
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match Matcher.run_tree_engine (Lazy.force engine) cb tree with
+  match run_toy_tree cb tree with
   | exception Matcher.Reject _ -> ()
   | _ -> Alcotest.fail "byte tree accepted by long-only grammar"
 
@@ -80,7 +87,7 @@ let test_reject_reports_state_and_expected () =
   in
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match Matcher.run_engine (Lazy.force engine) cb tokens with
+  match run_toy cb tokens with
   | exception Matcher.Reject e ->
     Alcotest.(check int) "at token 0" 0 e.Matcher.at;
     Alcotest.(check (list string)) "expected assign" [ "Assign.l" ]
@@ -96,7 +103,7 @@ let test_reject_on_truncated_input () =
   in
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match Matcher.run_engine (Lazy.force engine) cb tokens with
+  match run_toy cb tokens with
   | exception Matcher.Reject e ->
     Alcotest.(check string) "eof token" "<eof>" e.Matcher.token
   | _ -> Alcotest.fail "truncated input accepted"
@@ -142,10 +149,7 @@ let prop_random_trees_parse =
     (fun tree ->
       let emitted = ref [] in
       let cb = Toy.string_callbacks emitted in
-      let _ =
-        Matcher.run_tree_engine ~special_constants:false (Lazy.force engine)
-          cb tree
-      in
+      let _ = run_toy_tree ~special_constants:false cb tree in
       List.length !emitted <= count_ops tree)
 
 let prop_linear_time =
@@ -154,35 +158,29 @@ let prop_linear_time =
     (fun tree ->
       let emitted = ref [] in
       let cb = Toy.string_callbacks emitted in
-      let outcome =
-        Matcher.run_tree_engine ~trace:true ~special_constants:false
-          (Lazy.force engine) cb tree
-      in
+      let outcome = run_toy_tree ~trace:true ~special_constants:false cb tree in
       (* each token is shifted once and every reduction consumes stack:
          total steps are bounded by a small multiple of the input *)
       List.length outcome.Matcher.trace <= 4 * Tree.size tree + 2)
 
-let test_packed_tables_drive_matcher () =
-  (* the comb-packed tables must produce identical emitted sequences *)
-  let dense = Lazy.force engine in
-  let packed =
-    Matcher.packed_engine ~grammar:Toy.grammar
-      (Gg_tablegen.Packed.pack (Lazy.force tables))
-  in
-  let run_one drive tree =
+(* the code the reference loop emits over the dense tables, and the
+   code the matcher emits over the packed ones *)
+let emitted_by_both ?special_constants tree =
+  let run_one drive =
     let emitted = ref [] in
-    let cb = Toy.string_callbacks emitted in
-    let _ = drive cb tree in
+    let _ = drive (Toy.string_callbacks emitted) in
     List.rev !emitted
   in
+  ( run_one (fun cb ->
+        Matcher_ref.run (Lazy.force tables) cb
+          (Termname.linearize ?special_constants tree)),
+    run_one (fun cb -> run_toy_tree ?special_constants cb tree) )
+
+let test_packed_tables_drive_matcher () =
+  (* the comb-packed tables must produce identical emitted sequences *)
   List.iter
     (fun tree ->
-      let via_dense =
-        run_one (fun cb t -> Matcher.run_tree_engine dense cb t) tree
-      in
-      let via_packed =
-        run_one (fun cb t -> Matcher.run_tree_engine packed cb t) tree
-      in
+      let via_dense, via_packed = emitted_by_both tree in
       Alcotest.(check (list string)) "same code" via_dense via_packed)
     [ Toy.assign_tree; Toy.nested_tree ]
 
@@ -190,21 +188,10 @@ let prop_packed_equals_dense =
   QCheck.Test.make ~name:"packed tables emit the same code" ~count:100
     (QCheck.make random_long_tree)
     (fun tree ->
-      let packed =
-        Matcher.packed_engine ~grammar:Toy.grammar
-          (Gg_tablegen.Packed.pack (Lazy.force tables))
+      let via_dense, via_packed =
+        emitted_by_both ~special_constants:false tree
       in
-      let run_one drive =
-        let emitted = ref [] in
-        let cb = Toy.string_callbacks emitted in
-        let _ = drive cb in
-        List.rev !emitted
-      in
-      run_one (fun cb ->
-          Matcher.run_tree_engine ~special_constants:false (Lazy.force engine)
-            cb tree)
-      = run_one (fun cb ->
-            Matcher.run_tree_engine ~special_constants:false packed cb tree))
+      via_dense = via_packed)
 
 let suite =
   [

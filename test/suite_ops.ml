@@ -14,9 +14,8 @@ open Gg_ir
 module Oracle = Gg_fuzz.Oracle
 module Targets = Gg_targets.Targets
 
-(* one engine per target: the packed default tables, shared process-wide *)
-let engines =
-  lazy (List.map (fun t -> Oracle.packed_engine_for t) Targets.all)
+(* one engine per target: the default tables, shared process-wide *)
+let engines = lazy (List.map Oracle.engine_for Targets.all)
 
 let check name prog =
   match Oracle.check ~pcc:false ~engines:(Lazy.force engines) prog with

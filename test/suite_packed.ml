@@ -1,7 +1,9 @@
-(* Differential tests for the packed (production) table representation:
-   the full replicated VAX grammar corpus through dense and packed
-   tables must produce identical values, traces and Reject errors; plus
-   round-trip save/load, stale-grammar rejection, and the cache. *)
+(* Tests for the packed (production) table representation: Packed.verify
+   over both targets' tables, in both layouts; the full
+   replicated VAX grammar corpus through the matcher over the packed
+   tables and the reference loop over the dense ones must produce
+   identical traces and Reject errors; plus round-trip save/load,
+   stale-grammar rejection, the cache and the comb packer. *)
 
 open Gg_grammar
 open Gg_tablegen
@@ -17,12 +19,6 @@ module Corpus = Gg_frontc.Corpus
 let vax_grammar = lazy (Grammar_def.grammar Grammar_def.default)
 let dense = lazy (Tables.build (Lazy.force vax_grammar))
 let packed = lazy (Packed.pack (Lazy.force dense))
-let dense_engine = lazy (Matcher.engine (Lazy.force dense))
-
-let packed_engine =
-  lazy
-    (Matcher.packed_engine ~grammar:(Lazy.force vax_grammar)
-       (Lazy.force packed))
 
 let null_cb : unit Matcher.callbacks =
   {
@@ -65,14 +61,24 @@ let corpus_trees =
      in
      fixed @ random @ typed)
 
-let run_outcome engine tokens =
-  match Matcher.run_engine ~trace:true engine null_cb tokens with
-  | outcome -> Ok outcome.Matcher.trace
+let run_outcome run tokens =
+  match run ~trace:true null_cb tokens with
+  | (outcome : unit Matcher.outcome) -> Ok outcome.Matcher.trace
   | exception Matcher.Reject e -> Error e
 
+(* the reference loop over the dense tables against the matcher over
+   the packed ones *)
 let check_same_outcome what tokens =
-  let d = run_outcome (Lazy.force dense_engine) tokens in
-  let p = run_outcome (Lazy.force packed_engine) tokens in
+  let d =
+    run_outcome (fun ~trace -> Matcher_ref.run ~trace (Lazy.force dense)) tokens
+  in
+  let p =
+    run_outcome
+      (fun ~trace ->
+        Matcher.run ~trace ~grammar:(Lazy.force vax_grammar)
+          (Lazy.force packed))
+      tokens
+  in
   match (d, p) with
   | Ok dt, Ok pt ->
     if dt <> pt then Alcotest.failf "%s: traces differ" what
@@ -99,26 +105,39 @@ let check_same_outcome what tokens =
     Alcotest.failf "%s: dense rejected (%a) where packed accepted" what
       Matcher.pp_error de
 
-(* -- action-function parity on the full VAX tables ------------------------- *)
+(* -- Packed.verify: every table the compiler serves, both layouts ---------- *)
 
-let test_vax_action_parity () =
-  let t = Lazy.force dense in
-  let p = Lazy.force packed in
-  let g = Lazy.force vax_grammar in
-  let nt = Symtab.n_terms g.Grammar.symtab in
-  let nn = Symtab.n_nonterms g.Grammar.symtab in
-  for s = 0 to Tables.n_states t - 1 do
-    for a = 0 to nt do
-      if t.Tables.action.(s).(a) <> Packed.action p s a then
-        Alcotest.failf "action (%d, %d) differs" s a
-    done;
-    if Tables.expected t s <> Packed.expected p s then
-      Alcotest.failf "expected set of state %d differs" s;
-    for n = 0 to nn - 1 do
-      if t.Tables.goto_.(s).(n) <> Packed.goto p s n then
-        Alcotest.failf "goto (%d, %d) differs" s n
-    done
-  done
+let target_grammar target =
+  Lazy.force
+    (Gg_targets.Targets.backend_of target).Gg_codegen.Backend.default_grammar
+
+(* The gate that lets the matcher run over the packed tables alone:
+   every action cell (errors included), every goto and every expected
+   set of both targets' tables, profile-free (what `ggcc`/`ggccd` serve
+   by default) and heat-profiled (`--specialize`, with a real hot/cold
+   split).  suite_tablegen runs the same proof over the toy grammar. *)
+let test_verify () =
+  List.iter
+    (fun target ->
+      let name = Gg_targets.Targets.name target in
+      let t =
+        match target with
+        | Gg_codegen.Backend.Vax -> Lazy.force dense
+        | Gg_codegen.Backend.Risc -> Tables.build (target_grammar target)
+      in
+      let profiled =
+        Packed.pack ~profile:(Gg_targets.Targets.heat_profile target) t
+      in
+      Alcotest.(check bool)
+        (name ^ ": the profiled layout has cold states") true
+        (Array.length profiled.Packed.cold_off > 0);
+      List.iter
+        (fun (layout, p) ->
+          match Packed.verify p t with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "%s, %s: %s" name layout m)
+        [ ("profile-free", Packed.pack t); ("profiled", profiled) ])
+    Gg_targets.Targets.all
 
 (* -- the corpus: identical traces on every statement tree ------------------ *)
 
@@ -129,29 +148,6 @@ let test_corpus_traces () =
     (fun i tree ->
       check_same_outcome (Fmt.str "tree %d" i) (Termname.linearize tree))
     trees
-
-(* -- identical generated code through the full driver ---------------------- *)
-
-let test_fixed_programs_same_assembly () =
-  List.iter
-    (fun (name, src) ->
-      let prog = Sema.compile src in
-      let via_dense =
-        (Driver.compile_program
-           ~tables:(Driver.of_engine ~backend:Gg_codegen.Backend.vax
-                      (Lazy.force dense_engine))
-           prog)
-          .Driver.assembly
-      in
-      let via_packed =
-        (Driver.compile_program
-           ~tables:(Driver.of_engine ~backend:Gg_codegen.Backend.vax
-                      (Lazy.force packed_engine))
-           prog)
-          .Driver.assembly
-      in
-      Alcotest.(check string) (Fmt.str "%s assembly" name) via_dense via_packed)
-    Corpus.fixed_programs
 
 (* -- error parity on broken inputs ----------------------------------------- *)
 
@@ -424,10 +420,6 @@ let prop_comb_first_fit =
       | None -> true
       | Some d -> QCheck.Test.fail_reportf "differs from first-fit: %s" d)
 
-let target_grammar target =
-  Lazy.force
-    (Gg_targets.Targets.backend_of target).Gg_codegen.Backend.default_grammar
-
 (* the real rows of both targets, in both packing orders the compiler
    uses: densest-first (profile-free) and hottest-first (profiled) *)
 let test_comb_real_rows () =
@@ -492,29 +484,19 @@ let test_ties_interned () =
         (Array.length p.Packed.p_aux)
         (List.length (List.sort_uniq compare (Array.to_list p.Packed.p_aux)));
       let packed = Packed.pack t in
-      let codes, aux = Packed.encode_table t in
-      Alcotest.(check int)
-        (name ^ ": dense encoding interns too")
-        (List.length distinct) (Array.length aux);
       Array.iteri
         (fun s row ->
           Array.iteri
             (fun a action ->
               match action with
               | Tables.Reduce c when Array.length c > 1 ->
-                let decodes what code tie =
-                  if code land 3 <> 3 || code = 3 then
-                    Alcotest.failf "%s: %s cell (%d, %d) is not a tie code"
-                      name what s a;
-                  if tie ((code lsr 2) - 1) <> c then
-                    Alcotest.failf
-                      "%s: %s cell (%d, %d) decodes to other candidates" name
-                      what s a
-                in
-                decodes "packed"
-                  (Packed.action_code packed s a)
-                  (Packed.tie_candidates packed);
-                decodes "dense" codes.(s).(a) (fun i -> aux.(i))
+                let code = Packed.action_code packed s a in
+                if code land 3 <> 3 || code = 3 then
+                  Alcotest.failf "%s: cell (%d, %d) is not a tie code" name s
+                    a;
+                if Packed.tie_candidates packed ((code lsr 2) - 1) <> c then
+                  Alcotest.failf "%s: cell (%d, %d) decodes to other candidates"
+                    name s a
               | _ -> ())
             row)
         t.Tables.action)
@@ -557,11 +539,9 @@ let test_profile_free_layout_pinned () =
 
 let suite =
   [
-    Alcotest.test_case "VAX action/goto/expected parity" `Quick
-      test_vax_action_parity;
+    Alcotest.test_case "verify: VAX and RISC, both layouts" `Quick
+      test_verify;
     Alcotest.test_case "corpus traces identical" `Slow test_corpus_traces;
-    Alcotest.test_case "fixed programs compile identically" `Slow
-      test_fixed_programs_same_assembly;
     Alcotest.test_case "error parity on broken inputs" `Slow test_error_parity;
     Alcotest.test_case "VAX save/load round trip" `Quick
       test_vax_save_load_roundtrip;

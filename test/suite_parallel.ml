@@ -182,28 +182,28 @@ let test_fuzzed_programs_identical () =
 
 (* -- optimised loop vs the pre-optimisation reference ------------------------ *)
 
-let toy_engine = lazy (Matcher.engine (Tables.build Toy.grammar))
+(* the optimised loop runs over the packed toy tables, the reference
+   over the dense ones *)
+let toy_dense = lazy (Tables.build Toy.grammar)
+let toy_packed = lazy (Gg_tablegen.Packed.pack (Lazy.force toy_dense))
 
 (* everything observable: the final value, the full trace, the emitted
-   instructions, and on a reject every field of the error.  The one
-   sanctioned difference is the loop backstop: the optimised loop
-   budgets reductions while the reference budgets every action, so on a
-   runaway chain-rule loop both reject with "<looping>" but may stop at
-   different points of the cycle — normalise those to a canonical
-   error. *)
+   instructions, and on a reject every field of the error — including
+   the "<looping>" backstop, which both loops raise after the same
+   reduction budget *)
 let outcome_of runner tokens =
   let emitted = ref [] in
   let cb = Toy.string_callbacks emitted in
-  match runner (Lazy.force toy_engine) cb tokens with
+  match runner cb tokens with
   | (o : string Matcher.outcome) ->
     Ok (o.Matcher.value, o.Matcher.trace, List.rev !emitted)
-  | exception Matcher.Reject { token = "<looping>"; _ } ->
-    Error (-1, "<looping>", -1, [])
   | exception Matcher.Reject e ->
     Error (e.Matcher.at, e.Matcher.token, e.Matcher.state, e.Matcher.expected)
 
-let optimised e cb t = Matcher.run_engine ~trace:true e cb t
-let reference e cb t = Matcher_ref.run_engine_reference ~trace:true e cb t
+let optimised cb t =
+  Matcher.run ~trace:true ~grammar:Toy.grammar (Lazy.force toy_packed) cb t
+
+let reference cb t = Matcher_ref.run ~trace:true (Lazy.force toy_dense) cb t
 
 let prop_parity_on_random_trees =
   QCheck.Test.make ~name:"optimised = reference loop on random trees"

@@ -94,7 +94,7 @@ let test_peephole_preserves_fuzzed_observables () =
   let options =
     { Gg_codegen.Driver.default_options with Gg_codegen.Driver.peephole = true }
   in
-  let engines = [ Gg_fuzz.Oracle.packed_engine () ] in
+  let engines = [ Gg_fuzz.Oracle.engine_for Gg_codegen.Backend.Vax ] in
   for seed = 1000 to 1019 do
     let prog =
       Gg_ir.Treegen.control_program ~seed Gg_ir.Treegen.default_config

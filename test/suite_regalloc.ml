@@ -616,7 +616,7 @@ let test_golden_colored_output () =
 let engines =
   lazy
     (List.concat_map
-       (fun t -> [ Oracle.packed_engine_for t; Oracle.color_engine_for t ])
+       (fun t -> [ Oracle.engine_for t; Oracle.color_engine_for t ])
        Targets.all)
 
 let prop_stack_color_parity =

@@ -1,7 +1,8 @@
 (* Differential tests for profile-guided table layout ([Packed.pack
    ~profile]): for any profile — observed, empty, uniform or
    adversarial — the profiled table must decode cell-for-cell like the
-   dense one, drive the matcher to identical traces and rejects, and
+   dense one, drive the matcher to the traces and rejects the reference
+   loop produces over the dense one, and
    compile the corpus to byte-identical assembly on both targets.  Plus
    the pinned comb order, the save format, the (grammar, profile)-keyed
    cache entries, stale-format rejection, and the hot/cold probe
@@ -24,7 +25,6 @@ module Metrics = Gg_profile.Metrics
 let vax_grammar = lazy (Grammar_def.grammar Grammar_def.default)
 let dense = lazy (Tables.build (Lazy.force vax_grammar))
 let packed = lazy (Packed.pack (Lazy.force dense))
-let dense_engine = lazy (Matcher.engine (Lazy.force dense))
 
 let null_cb : unit Matcher.callbacks =
   {
@@ -69,7 +69,7 @@ let observed_profile =
      List.iter
        (fun toks ->
          ignore
-           (Matcher.run_engine (Lazy.force dense_engine) null_cb toks
+           (Matcher_ref.run (Lazy.force dense) null_cb toks
              : unit Matcher.outcome))
        (Lazy.force corpus_tokens);
      let counts = Profile.production_counts () in
@@ -80,20 +80,25 @@ let observed_profile =
 let specialized profile = Packed.pack ~profile (Lazy.force dense)
 let spec_hot = lazy (specialized (Lazy.force observed_profile))
 
-let spec_engine spec =
-  Matcher.packed_engine ~grammar:(Lazy.force vax_grammar) spec
-
-let run_outcome engine tokens =
-  match Matcher.run_engine ~trace:true engine null_cb tokens with
-  | outcome -> Ok outcome.Matcher.trace
+let outcome_of run tokens =
+  match run ~trace:true null_cb tokens with
+  | (outcome : unit Matcher.outcome) -> Ok outcome.Matcher.trace
   | exception Matcher.Reject e -> Error e
 
+(* the reference loop over the dense tables, and the matcher over a
+   profiled layout *)
+let dense_outcome =
+  outcome_of (fun ~trace -> Matcher_ref.run ~trace (Lazy.force dense))
+
+let spec_outcome spec =
+  outcome_of (fun ~trace ->
+      Matcher.run ~trace ~grammar:(Lazy.force vax_grammar) spec)
+
 let check_same_traces what spec =
-  let se = spec_engine spec in
   List.iteri
     (fun i tokens ->
-      let d = run_outcome (Lazy.force dense_engine) tokens in
-      let s = run_outcome se tokens in
+      let d = dense_outcome tokens in
+      let s = spec_outcome spec tokens in
       match (d, s) with
       | Ok dt, Ok st ->
         if dt <> st then Alcotest.failf "%s: tree %d: traces differ" what i
@@ -156,10 +161,8 @@ let test_qcheck_adversarial_profiles () =
     (match Packed.verify spec (Lazy.force dense) with
     | Ok () -> ()
     | Error m -> QCheck.Test.fail_reportf "verify: %s" m);
-    let se = spec_engine spec in
     List.for_all
-      (fun tokens ->
-        run_outcome (Lazy.force dense_engine) tokens = run_outcome se tokens)
+      (fun tokens -> dense_outcome tokens = spec_outcome spec tokens)
       some_trees
   in
   let test =
@@ -237,10 +240,10 @@ let test_probe_counters () =
   let was = !Metrics.enabled in
   Metrics.enabled := true;
   Metrics.reset ();
-  let se = spec_engine (Lazy.force spec_hot) in
+  let g = Lazy.force vax_grammar and spec = Lazy.force spec_hot in
   List.iter
     (fun tokens ->
-      ignore (Matcher.run_engine se null_cb tokens : unit Matcher.outcome))
+      ignore (Matcher.run ~grammar:g spec null_cb tokens : unit Matcher.outcome))
     (Lazy.force corpus_tokens);
   let counters = Metrics.named_counters () in
   Metrics.enabled := was;
@@ -366,63 +369,68 @@ let test_cache_listing_and_eviction () =
   Alcotest.(check int) "stale grammar evicts everything" 2
     (List.length removed)
 
-(* The published split is exact: it equals a count taken by wrapping
-   the probe itself, whether the functions are matched on one domain or
-   spread over four. *)
+(* The published split is exact: it equals a count taken by the
+   reference loop reading the same profiled layout through a counting
+   probe, and the -j1 and -j4 compiles of the fixed corpus publish the
+   same split. *)
 let test_probe_counters_parallel () =
   let g = Lazy.force vax_grammar in
   let spec = Lazy.force spec_hot in
-  let programs =
-    List.map (fun (_, src) -> Sema.compile src) Corpus.fixed_programs
-  in
-  let engine = spec_engine spec in
-  let compile ~jobs engine =
-    List.iter
-      (fun prog ->
-        ignore
-          (Driver.compile_program
-             ~tables:(Driver.of_engine ~backend:Backend.vax engine)
-             ~jobs ~oversubscribe:true prog
-            : Driver.output))
-      programs
-  in
   let was = !Metrics.enabled in
-  Metrics.enabled := false;
-  let hot = ref 0 and cold = ref 0 in
-  compile ~jobs:1
-    {
-      engine with
-      Matcher.eng_code =
-        (fun s a ->
-          if spec.Packed.act_base.(s) >= 0 then incr hot else incr cold;
-          Packed.action_code spec s a);
-    };
-  let counts jobs =
+  let published f =
     Metrics.enabled := true;
     Metrics.reset ();
-    compile ~jobs engine;
+    f ();
     let counters = Metrics.named_counters () in
     Metrics.enabled := false;
     Metrics.reset ();
     let get n = try List.assoc n counters with Not_found -> 0 in
-    (get "matcher.probe_hits_hot", get "matcher.probe_hits_cold")
+    ( List.mem_assoc "matcher.probe_hits_hot" counters,
+      (get "matcher.probe_hits_hot", get "matcher.probe_hits_cold") )
   in
-  let j1 = counts 1 in
-  let j4 = counts 4 in
+  let match_corpus p () =
+    List.iter
+      (fun tokens ->
+        ignore (Matcher.run ~grammar:g p null_cb tokens : unit Matcher.outcome))
+      (Lazy.force corpus_tokens)
+  in
+  Metrics.enabled := false;
+  let hot = ref 0 and cold = ref 0 in
+  List.iter
+    (fun tokens ->
+      ignore
+        (Matcher_ref.run
+           ~probe:(fun s a ->
+             if spec.Packed.act_base.(s) >= 0 then incr hot else incr cold;
+             Packed.action spec s a)
+           (Lazy.force dense) null_cb tokens
+          : unit Matcher.outcome))
+    (Lazy.force corpus_tokens);
+  let _, split = published (match_corpus spec) in
+  let programs =
+    List.map (fun (_, src) -> Sema.compile src) Corpus.fixed_programs
+  in
+  let compile ~jobs () =
+    List.iter
+      (fun prog ->
+        ignore
+          (Driver.compile_program
+             ~tables:{ Driver.grammar = g; packed = spec; backend = Backend.vax }
+             ~jobs ~oversubscribe:true prog
+            : Driver.output))
+      programs
+  in
+  let _, j1 = published (compile ~jobs:1) in
+  let _, j4 = published (compile ~jobs:4) in
+  (* profile-free tables have no cold partition and publish nothing *)
+  let split_free, _ = published (match_corpus (Lazy.force packed)) in
   Metrics.enabled := was;
   if !cold = 0 then Alcotest.fail "the corpus never probed a cold state";
-  Alcotest.(check (pair int int)) "-j1 equals the probe count" (!hot, !cold) j1;
-  Alcotest.(check (pair int int)) "-j4 equals the probe count" (!hot, !cold) j4;
-  (* profile-free tables have no cold partition and publish nothing *)
-  Metrics.enabled := true;
-  Metrics.reset ();
-  compile ~jobs:1 (Matcher.packed_engine ~grammar:g (Lazy.force packed));
-  let counters = Metrics.named_counters () in
-  Metrics.reset ();
-  Metrics.enabled := was;
-  Alcotest.(check bool)
-    "profile-free: no split published" false
-    (List.mem_assoc "matcher.probe_hits_hot" counters)
+  Alcotest.(check (pair int int)) "matcher equals the probe count" (!hot, !cold)
+    split;
+  if snd j1 = 0 then Alcotest.fail "the -j1 compiles never probed a cold state";
+  Alcotest.(check (pair int int)) "-j4 equals -j1" j1 j4;
+  Alcotest.(check bool) "profile-free: no split published" false split_free
 
 (* The auto profile's comb: the same states, in the same hottest-first
    order, as the layout's first profiled release chose, on both

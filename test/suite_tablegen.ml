@@ -168,42 +168,30 @@ let test_block_detected_when_production_missing () =
 
 (* -- packed tables --------------------------------------------------------- *)
 
+(* Packed.verify over the toy tables, profile-free and under a skewed
+   synthetic heat (the toy grammar has no corpus) that leaves states
+   cold: exact parity, error cells included — the validity bitset keeps
+   default reductions from leaking into error entries.  suite_packed
+   runs the same proof over both targets. *)
 let test_packed_roundtrip_toy () =
   let t = Lazy.force tables in
-  let packed = Packed.pack t in
-  let g = Toy.grammar in
-  let nt = Symtab.n_terms g.Grammar.symtab in
-  let nn = Symtab.n_nonterms g.Grammar.symtab in
-  for s = 0 to Tables.n_states t - 1 do
-    (* exact parity, error cells included: the validity bitset keeps
-       default reductions from leaking into error entries *)
-    for a = 0 to nt do
-      if t.Tables.action.(s).(a) <> Packed.action packed s a then
-        Alcotest.failf "action (%d, %d) differs" s a
-    done;
-    Alcotest.(check (list int))
-      (Fmt.str "expected set of state %d" s)
-      (Tables.expected t s) (Packed.expected packed s);
-    for n = 0 to nn - 1 do
-      if t.Tables.goto_.(s).(n) <> Packed.goto packed s n then
-        Alcotest.failf "goto (%d, %d) differs" s n
-    done
-  done
+  let profile =
+    Heat.of_counts
+      (List.init (Grammar.n_productions Toy.grammar) (fun id -> (id, 1 lsl id)))
+  in
+  let profiled = Packed.pack ~profile t in
+  check_bool "the profiled layout has cold states" true
+    (Array.length profiled.Packed.cold_off > 0);
+  List.iter
+    (fun (layout, packed) ->
+      match Packed.verify packed t with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" layout m)
+    [ ("profile-free", Packed.pack t); ("profiled", profiled) ]
 
 let test_packed_vax_compression () =
   let t = Tables.build (Gg_vax.Grammar_def.grammar Gg_vax.Grammar_def.default) in
-  let packed = Packed.pack t in
-  let g = Tables.grammar t in
-  let nt = Symtab.n_terms g.Grammar.symtab in
-  (* spot-check exact equality (error cells included) on sampled columns *)
-  for s = 0 to Tables.n_states t - 1 do
-    for a = 0 to nt / 7 do
-      let col = a * 7 mod (nt + 1) in
-      if t.Tables.action.(s).(col) <> Packed.action packed s col then
-        Alcotest.failf "action (%d, %d) differs" s col
-    done
-  done;
-  let st = Packed.stats packed in
+  let st = Packed.stats (Packed.pack t) in
   check_bool
     (Fmt.str "compresses the VAX tables (ratio %.2f)" st.Packed.ratio)
     true (st.Packed.ratio < 0.7)
