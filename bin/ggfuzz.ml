@@ -198,7 +198,7 @@ let with_telemetry ~profile ~trace_out ~metrics ~metrics_out f =
   let r = f () in
   if profile then Fmt.epr "%a" Gg_profile.Profile.report ();
   if metrics then Fmt.epr "%a" Gg_profile.Metrics.report ();
-  Option.iter Gg_profile.Metrics.write_json metrics_out;
+  Option.iter Gg_profile.Metrics.write_json_atomic metrics_out;
   Option.iter Gg_profile.Trace.write trace_out;
   r
 

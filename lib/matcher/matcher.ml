@@ -58,7 +58,7 @@ let run ?(trace = false) ~grammar:(g : Grammar.t) (packed : Packed.t) cb
   let ctrs = Profile.counters () in
   let reds0 = ctrs.Profile.reduces in
   let shifts0 = ctrs.Profile.shifts in
-  let cold0 = if split && !Metrics.enabled then Packed.cold_probes () else 0 in
+  let cold0 = ctrs.Profile.cold_probes in
   let t0 = if !Metrics.enabled then Trace.now_us () else 0. in
   let n = List.length tokens in
   (* the parse stack; stack depth is bounded by the number of shifts,
@@ -251,7 +251,7 @@ let run ?(trace = false) ~grammar:(g : Grammar.t) (packed : Packed.t) cb
       let probes =
         ctrs.Profile.shifts - shifts0 + (ctrs.Profile.reduces - reds0) + 1
       in
-      let cold = Packed.cold_probes () - cold0 in
+      let cold = ctrs.Profile.cold_probes - cold0 in
       Metrics.incr ~by:(probes - cold) "matcher.probe_hits_hot";
       Metrics.incr ~by:cold "matcher.probe_hits_cold"
     end

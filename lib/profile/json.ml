@@ -210,6 +210,21 @@ let parse_file path =
 
 (* -- printing ------------------------------------------------------------- *)
 
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 let print_number b v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" v)
@@ -221,7 +236,7 @@ let rec print_value b = function
   | Num v -> print_number b v
   | Str s ->
     Buffer.add_char b '"';
-    Buffer.add_string b (Trace.json_escape s);
+    Buffer.add_string b (escape s);
     Buffer.add_char b '"'
   | Arr vs ->
     Buffer.add_char b '[';
@@ -237,7 +252,7 @@ let rec print_value b = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_char b '"';
-        Buffer.add_string b (Trace.json_escape k);
+        Buffer.add_string b (escape k);
         Buffer.add_string b "\":";
         print_value b v)
       ms;
@@ -247,6 +262,21 @@ let to_string v =
   let b = Buffer.create 256 in
   print_value b v;
   Buffer.contents b
+
+(* Crash-safe: the whole document goes to a temp sibling in the target's
+   directory and is renamed into place, so a reader (or a crash
+   mid-write) never sees a torn document — the previous complete one
+   survives until the new one is durable. *)
+let write_atomic path doc =
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let oc = open_out tmp in
+  (match output_string oc doc with
+  | () -> close_out oc
+  | exception e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e);
+  Sys.rename tmp path
 
 (* -- accessors ------------------------------------------------------------ *)
 

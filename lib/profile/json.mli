@@ -27,6 +27,15 @@ val parse_file : string -> t
     decimal point so round-tripped counters stay readable. *)
 val to_string : t -> string
 
+(** Escape a string for inclusion in a JSON string literal. *)
+val escape : string -> string
+
+(** [write_atomic path doc] writes [doc] to a [.tmp] sibling of [path]
+    and renames it into place, so a reader (or a process killed
+    mid-write) never sees a torn document.  Every telemetry document —
+    metrics sidecar, trace, flight dump — is written this way. *)
+val write_atomic : string -> string -> unit
+
 (** {1 Accessors} — all total, [None] on shape mismatch. *)
 
 val member : string -> t -> t option

@@ -1,16 +1,18 @@
-(* A registry of named counters and fixed-bucket histograms over the
-   compilation pipeline, sharded per domain like the {!Profile}
-   counters and merged on read.
+(* Named counters and fixed-bucket histograms over the compilation
+   pipeline, recorded into the calling domain's {!Profile} shard and
+   merged on read.
 
    Histograms have fixed integer bucket bounds chosen once at
    registration, so recording an observation is a short linear scan and
-   an increment in the calling domain's shard — no allocation, no
+   four increments in the calling domain's shard — no allocation, no
    synchronisation.  This is the instrument Samuelsson-style table
    optimisation needs: the distribution of matcher work per tree, not
    just its total. *)
 
+(* In every shard's [hist] array, a histogram owns the words from [off]:
+   count, sum, max, then one word per bucket (overflow last). *)
 type histogram = {
-  id : int;
+  off : int;
   h_name : string;
   h_unit : string;
   bounds : int array;  (** strictly increasing inclusive upper bounds *)
@@ -19,7 +21,8 @@ type histogram = {
 let histograms : histogram list ref = ref []
 
 let register ~unit:h_unit name bounds =
-  let h = { id = List.length !histograms; h_name = name; h_unit; bounds } in
+  let off = Profile.reserve_words (3 + Array.length bounds + 1) in
+  let h = { off; h_name = name; h_unit; bounds } in
   histograms := !histograms @ [ h ];
   h
 
@@ -56,50 +59,9 @@ let request_latency_us =
   register ~unit:"us" "server.request_latency_us"
     [| 100; 200; 500; 1000; 2000; 5000; 10_000; 20_000; 50_000; 100_000; 500_000 |]
 
-(* -- per-domain shards --------------------------------------------------- *)
-
-type shard = {
-  buckets : int array array;  (** per histogram: |bounds|+1 (overflow last) *)
-  totals : int array;
-  sums : int array;
-  maxs : int array;
-  named : (string, int) Hashtbl.t;
-}
+(* -- recording ------------------------------------------------------------- *)
 
 let enabled = ref false
-let registry : shard list ref = ref []
-let registry_lock = Mutex.create ()
-
-(* Slack appended to every shard array: the live prefix of the small
-   hot arrays (totals/sums/maxs are ~7 ints) would otherwise pack two
-   domains' counters into one cache line, and [observe] bumps them on
-   every matched tree.  Only indices below the histogram count are
-   ever read. *)
-let shard_pad = 8
-
-let new_shard () =
-  (* the histogram set is fixed at module initialisation, before any
-     shard exists, so sizing the arrays here is safe *)
-  let n = List.length !histograms in
-  let s =
-    {
-      buckets =
-        Array.of_list
-          (List.map
-             (fun h -> Array.make (Array.length h.bounds + 1 + shard_pad) 0)
-             !histograms);
-      totals = Array.make (n + shard_pad) 0;
-      sums = Array.make (n + shard_pad) 0;
-      maxs = Array.make (n + shard_pad) 0;
-      named = Hashtbl.create 16;
-    }
-  in
-  Mutex.protect registry_lock (fun () -> registry := s :: !registry);
-  s
-
-let shard_key = Domain.DLS.new_key new_shard
-let shard () = Domain.DLS.get shard_key
-let shards () = Mutex.protect registry_lock (fun () -> !registry)
 
 let bucket_index h v =
   let n = Array.length h.bounds in
@@ -107,64 +69,48 @@ let bucket_index h v =
   go 0
 
 let observe h v =
-  let s = shard () in
-  let counts = s.buckets.(h.id) in
-  let i = bucket_index h v in
-  counts.(i) <- counts.(i) + 1;
-  s.totals.(h.id) <- s.totals.(h.id) + 1;
-  s.sums.(h.id) <- s.sums.(h.id) + v;
-  if v > s.maxs.(h.id) then s.maxs.(h.id) <- v
+  let a = (Profile.shard ()).hist and o = h.off in
+  a.(o) <- a.(o) + 1;
+  a.(o + 1) <- a.(o + 1) + v;
+  if v > a.(o + 2) then a.(o + 2) <- v;
+  let i = o + 3 + bucket_index h v in
+  a.(i) <- a.(i) + 1
 
 let incr ?(by = 1) name =
-  let named = (shard ()).named in
+  let named = (Profile.shard ()).named in
   Hashtbl.replace named name
-    (by + (try Hashtbl.find named name with Not_found -> 0))
+    (by + Option.value ~default:0 (Hashtbl.find_opt named name))
 
 (* -- merged reads -------------------------------------------------------- *)
 
-let count h = List.fold_left (fun acc s -> acc + s.totals.(h.id)) 0 (shards ())
-let sum h = List.fold_left (fun acc s -> acc + s.sums.(h.id)) 0 (shards ())
-let max_value h = List.fold_left (fun acc s -> max acc s.maxs.(h.id)) 0 (shards ())
+let merged shards f h k =
+  List.fold_left
+    (fun acc (s : Profile.shard) -> f acc s.hist.(h.off + k))
+    0 shards
+
+let count h = merged (Profile.shards ()) ( + ) h 0
+let sum h = merged (Profile.shards ()) ( + ) h 1
+let max_value h = merged (Profile.shards ()) max h 2
 
 let buckets h =
-  let n = Array.length h.bounds + 1 in
-  let merged = Array.make n 0 in
-  List.iter
-    (fun s ->
-      let b = s.buckets.(h.id) in
-      for i = 0 to n - 1 do
-        merged.(i) <- merged.(i) + b.(i)
-      done)
-    (shards ());
-  List.init n (fun i ->
-      ((if i < Array.length h.bounds then Some h.bounds.(i) else None), merged.(i)))
+  let shards = Profile.shards () in
+  List.init
+    (Array.length h.bounds + 1)
+    (fun i ->
+      ( (if i < Array.length h.bounds then Some h.bounds.(i) else None),
+        merged shards ( + ) h (3 + i) ))
 
 let name h = h.h_name
 let unit_of h = h.h_unit
 let all () = !histograms
-
-let named_counters () =
-  let merged : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun k v ->
-          Hashtbl.replace merged k
-            (v + (try Hashtbl.find merged k with Not_found -> 0)))
-        s.named)
-    (shards ());
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let named_counters = Profile.named_counters
 
 let reset () =
   List.iter
-    (fun s ->
-      Array.iter (fun b -> Array.fill b 0 (Array.length b) 0) s.buckets;
-      Array.fill s.totals 0 (Array.length s.totals) 0;
-      Array.fill s.sums 0 (Array.length s.sums) 0;
-      Array.fill s.maxs 0 (Array.length s.maxs) 0;
+    (fun (s : Profile.shard) ->
+      Array.fill s.hist 0 (Array.length s.hist) 0;
       Hashtbl.reset s.named)
-    (shards ())
+    (Profile.shards ())
 
 (* -- exposition ---------------------------------------------------------- *)
 
@@ -223,24 +169,9 @@ type view = {
   v_histograms : histo_view list;
 }
 
-(* the counter list every exposition shares: the Profile base counters
-   first, then the named counters, in a stable order *)
-let counter_list () =
-  let c = Profile.totals () in
-  [
-    ("matcher.runs", c.Profile.matcher_runs);
-    ("matcher.shifts", c.Profile.shifts);
-    ("matcher.reduces", c.Profile.reduces);
-    ("matcher.semantic_choices", c.Profile.semantic_choices);
-    ("matcher.rejects", c.Profile.rejects);
-    ("tables.cache_hits", c.Profile.cache_hits);
-    ("tables.cache_misses", c.Profile.cache_misses);
-  ]
-  @ named_counters ()
-
 let snapshot () =
   {
-    v_counters = counter_list ();
+    v_counters = Profile.counter_list ();
     v_histograms =
       List.map
         (fun h ->
@@ -263,16 +194,7 @@ let shift_reduce_ratio () =
   else float_of_int c.Profile.shifts /. float_of_int c.Profile.reduces
 
 let report ppf () =
-  let c = Profile.totals () in
-  Fmt.pf ppf "counters:@.";
-  Fmt.pf ppf "  %-28s %10d@." "matcher.runs" c.Profile.matcher_runs;
-  Fmt.pf ppf "  %-28s %10d@." "matcher.shifts" c.Profile.shifts;
-  Fmt.pf ppf "  %-28s %10d@." "matcher.reduces" c.Profile.reduces;
-  Fmt.pf ppf "  %-28s %10d@." "matcher.semantic_choices" c.Profile.semantic_choices;
-  Fmt.pf ppf "  %-28s %10d@." "matcher.rejects" c.Profile.rejects;
-  Fmt.pf ppf "  %-28s %10d@." "tables.cache_hits" c.Profile.cache_hits;
-  Fmt.pf ppf "  %-28s %10d@." "tables.cache_misses" c.Profile.cache_misses;
-  List.iter (fun (k, v) -> Fmt.pf ppf "  %-28s %10d@." k v) (named_counters ());
+  Profile.pp_counters ppf ();
   Fmt.pf ppf "  %-28s %10.3f@." "matcher.shift_reduce_ratio"
     (shift_reduce_ratio ());
   List.iter
@@ -294,8 +216,6 @@ let report ppf () =
           (buckets h))
     (all ())
 
-let json_escape = Trace.json_escape
-
 let to_json () =
   let b = Buffer.create 2048 in
   let snap = snapshot () in
@@ -304,7 +224,7 @@ let to_json () =
   List.iteri
     (fun i (k, v) ->
       Buffer.add_string b
-        (Printf.sprintf "    \"%s\": %d%s\n" (json_escape k) v
+        (Printf.sprintf "    \"%s\": %d%s\n" (Json.escape k) v
            (if i = List.length base - 1 then "" else ",")))
     base;
   Buffer.add_string b "  },\n";
@@ -318,7 +238,7 @@ let to_json () =
       Buffer.add_string b
         (Printf.sprintf
            "    { \"name\": \"%s\", \"seconds\": %.6f, \"calls\": %d }%s\n"
-           (json_escape pname) secs calls
+           (Json.escape pname) secs calls
            (if i = List.length ps - 1 then "" else ",")))
     ps;
   Buffer.add_string b "  ],\n";
@@ -330,7 +250,7 @@ let to_json () =
         (Printf.sprintf
            "    { \"name\": \"%s\", \"unit\": \"%s\", \"count\": %d, \"sum\": \
             %d, \"max\": %d, \"p50\": %.3f, \"p99\": %.3f, \"buckets\": ["
-           (json_escape hv.hv_name) (json_escape hv.hv_unit) hv.hv_count
+           (Json.escape hv.hv_name) (Json.escape hv.hv_unit) hv.hv_count
            hv.hv_sum hv.hv_max hv.hv_p50 hv.hv_p99);
       let bs = hv.hv_buckets in
       List.iteri
@@ -348,25 +268,7 @@ let to_json () =
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
 
-let write_json path =
-  let oc = open_out path in
-  output_string oc (to_json ());
-  close_out oc
-
-(* Crash-surviving snapshot: write the whole document to a temp file in
-   the target's directory and rename it into place, so a reader (or a
-   crash) never sees a half-written JSON — the previous complete
-   snapshot survives until the new one is durable. *)
-let write_json_atomic path =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out tmp in
-  (match output_string oc (to_json ()) with
-  | () -> close_out oc
-  | exception e ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Sys.rename tmp path
+let write_json_atomic path = Json.write_atomic path (to_json ())
 
 (* -- Prometheus text exposition ------------------------------------------ *)
 

@@ -1,4 +1,4 @@
-(** A registry of named counters and fixed-bucket histograms.
+(** Named counters and fixed-bucket histograms.
 
     The {!Profile} counters answer "how much work, in total"; the
     histograms here answer "how is it distributed" — per-tree match
@@ -7,12 +7,12 @@
     table optimisation (PAPERS.md) needs before table usage data can
     drive table layout.
 
-    Observations are recorded into per-domain shards (a bounded linear
-    scan plus three increments; no allocation, no synchronisation) and
-    merged on read, so totals are exact under [ggcc -j N] once the
-    worker domains have joined.  The standard histograms are registered
-    at module initialisation; hot paths gate their observations on
-    {!enabled}.
+    Observations are recorded into the calling domain's
+    {!Profile.shard} (a bounded linear scan plus four increments; no
+    allocation, no synchronisation) and merged on read, so totals are
+    exact under [ggcc -j N] once the worker domains have joined.  The
+    standard histograms are registered at module initialisation; hot
+    paths gate their observations on {!enabled}.
 
     Invariants the test suite locks in: the bucket counts of a
     histogram sum to its {!count}, [count tree_reductions] equals the
@@ -74,6 +74,8 @@ val buckets : histogram -> (int option * int) list
 val name : histogram -> string
 val unit_of : histogram -> string
 val all : unit -> histogram list
+
+(** = {!Profile.named_counters}. *)
 val named_counters : unit -> (string * int) list
 
 (** Shifts per reduce over the merged {!Profile} counters; [0.] when
@@ -103,7 +105,7 @@ type histo_view = {
 
 type view = {
   v_counters : (string * int) list;
-      (** the {!Profile} base counters followed by the named counters *)
+      (** {!Profile.counter_list} *)
   v_histograms : histo_view list;
 }
 
@@ -114,8 +116,10 @@ type view = {
     endpoint serves without restarting the daemon. *)
 val snapshot : unit -> view
 
-(** Zero every histogram and named counter in every shard.  Call only
-    while no other domain is recording. *)
+(** Zero every histogram and named counter in every shard; the
+    {!Profile} counters, coverage and phase aggregates and the trace
+    events are left alone.  Call only while no other domain is
+    recording. *)
 val reset : unit -> unit
 
 (** {1 Exposition} *)
@@ -129,12 +133,9 @@ val report : Format.formatter -> unit -> unit
     bench harness. *)
 val to_json : unit -> string
 
-val write_json : string -> unit
-
-(** Like {!write_json} but crash-safe: the document is written to a
-    [.tmp] sibling and renamed into place, so a reader (or a daemon
-    killed mid-write) never sees a torn snapshot.  This is what
-    [ggccd]'s periodic snapshot loop uses. *)
+(** {!to_json}, written atomically ({!Json.write_atomic}): a reader (or
+    a daemon killed mid-write) never sees a torn snapshot.  [ggccd]'s
+    periodic snapshot loop and every [--metrics-out] use it. *)
 val write_json_atomic : string -> unit
 
 (** Prometheus text exposition (version 0.0.4) of the same view

@@ -1,9 +1,17 @@
-(* The trailing [_pad] fields stretch each record past a cache line
-   (16 words with the header vs the 64-byte lines of every machine we
-   serve on), so two domains' counter records allocated back to back
-   never share a line — the hot loop increments these fields millions
-   of times per compile, and false sharing between shards would charge
-   every increment a coherence miss. *)
+(* The one telemetry store.  Every domain that records anything gets one
+   shard, written without synchronisation from that domain only: the
+   hot event counters, the production-coverage table, the phase
+   aggregates, the trace events ({!Trace}), the histogram words and the
+   named counters ({!Metrics}).  One registry keeps every shard; every
+   read merges them, so reports are exact once the writing domains have
+   been joined (the {!Gg_codegen.Parallel} pool joins its workers
+   before returning).
+
+   False sharing: every block a domain bumps on its hot path ends in
+   one cache line (8 words) of dead slack — the counter record in its
+   [_pad] fields, the histogram array in its tail — so the live words of
+   two domains' shards never share a 64-byte line. *)
+
 type counters = {
   mutable shifts : int;
   mutable reduces : int;
@@ -12,6 +20,7 @@ type counters = {
   mutable rejects : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
+  mutable cold_probes : int;
   mutable _pad0 : int;
   mutable _pad1 : int;
   mutable _pad2 : int;
@@ -22,6 +31,8 @@ type counters = {
   mutable _pad7 : int;
 }
 
+let line_words = 8
+
 let fresh_counters () =
   {
     shifts = 0;
@@ -31,6 +42,7 @@ let fresh_counters () =
     rejects = 0;
     cache_hits = 0;
     cache_misses = 0;
+    cold_probes = 0;
     _pad0 = 0;
     _pad1 = 0;
     _pad2 = 0;
@@ -41,52 +53,98 @@ let fresh_counters () =
     _pad7 = 0;
   }
 
-(* Every domain that touches the profiler gets its own shard: a counter
-   record, a production-coverage table and a phase-timer table, all
-   written without synchronisation from that domain only.  The shards
-   are merged on read, so reports are exact once the writing domains
-   have been joined (the {!Gg_codegen.Parallel} pool joins its workers
-   before returning). *)
+type phase = B | E
+
+type event = {
+  ev_name : string;
+  ev_cat : string;
+  ev_ph : phase;
+  ev_ts : float;
+  ev_track : int;
+  ev_args : (string * string) list;
+}
+
 type shard = {
-  c : counters;
+  mutable c : counters;
   fired : (int, int) Hashtbl.t;
-  (* phase name -> (accumulated seconds, number of calls).  Only leaf
-     phases are timed, so the shares of the total are meaningful. *)
-  timers : (string, float * int) Hashtbl.t;
+  timed : (string, float * int) Hashtbl.t;
+  track : int;
+  mutable events : event list;
+  hist : int array;
+  named : (string, int) Hashtbl.t;
 }
 
 let registry : shard list ref = ref []
 let registry_lock = Mutex.create ()
 
+(* histogram words every shard carries; fixed by {!Metrics}'s
+   registrations at module initialisation, before any shard exists *)
+let hist_words = ref 0
+
+let reserve_words n =
+  Mutex.protect registry_lock (fun () ->
+      if !registry <> [] then
+        invalid_arg "Profile.reserve_words: a shard already exists";
+      let off = !hist_words in
+      hist_words := off + n;
+      off)
+
 let new_shard () =
-  let s =
-    { c = fresh_counters (); fired = Hashtbl.create 64; timers = Hashtbl.create 16 }
-  in
-  Mutex.protect registry_lock (fun () -> registry := s :: !registry);
-  s
+  Mutex.protect registry_lock (fun () ->
+      let s =
+        {
+          c = fresh_counters ();
+          fired = Hashtbl.create 64;
+          timed = Hashtbl.create 16;
+          track = (Domain.self () :> int);
+          events = [];
+          hist = Array.make (!hist_words + line_words) 0;
+          named = Hashtbl.create 16;
+        }
+      in
+      registry := s :: !registry;
+      s)
 
 let shard_key = Domain.DLS.new_key new_shard
 let shard () = Domain.DLS.get shard_key
 let counters () = (shard ()).c
 
-(* a snapshot of the registered shards; reading a shard that another
-   domain is still writing yields momentarily stale integers, nothing
-   worse, and all reporting paths read after the workers are joined *)
+(* a snapshot of the registered shards, most recent first; reading a
+   shard that another domain is still writing yields momentarily stale
+   values, nothing worse, and all reporting paths read after the
+   workers are joined *)
 let shards () = Mutex.protect registry_lock (fun () -> !registry)
 
 let totals () =
   let t = fresh_counters () in
   List.iter
-    (fun s ->
-      t.shifts <- t.shifts + s.c.shifts;
-      t.reduces <- t.reduces + s.c.reduces;
-      t.semantic_choices <- t.semantic_choices + s.c.semantic_choices;
-      t.matcher_runs <- t.matcher_runs + s.c.matcher_runs;
-      t.rejects <- t.rejects + s.c.rejects;
-      t.cache_hits <- t.cache_hits + s.c.cache_hits;
-      t.cache_misses <- t.cache_misses + s.c.cache_misses)
+    (fun { c; _ } ->
+      t.shifts <- t.shifts + c.shifts;
+      t.reduces <- t.reduces + c.reduces;
+      t.semantic_choices <- t.semantic_choices + c.semantic_choices;
+      t.matcher_runs <- t.matcher_runs + c.matcher_runs;
+      t.rejects <- t.rejects + c.rejects;
+      t.cache_hits <- t.cache_hits + c.cache_hits;
+      t.cache_misses <- t.cache_misses + c.cache_misses;
+      t.cold_probes <- t.cold_probes + c.cold_probes)
     (shards ());
   t
+
+(* one merge for every keyed table a shard holds *)
+let merged table add =
+  let m = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      Hashtbl.iter
+        (fun k v ->
+          Hashtbl.replace m k
+            (match Hashtbl.find_opt m k with Some v0 -> add v0 v | None -> v))
+        (table s))
+    (shards ());
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) m []
+
+let bump tbl k by =
+  Hashtbl.replace tbl k (by + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
 let enabled = ref false
 
@@ -101,78 +159,61 @@ let provenance_enabled = ref false
 let coverage_enabled = ref false
 
 let record_production pid =
-  if !coverage_enabled then begin
-    let fired = (shard ()).fired in
-    Hashtbl.replace fired pid
-      (1 + (try Hashtbl.find fired pid with Not_found -> 0))
-  end
+  if !coverage_enabled then bump (shard ()).fired pid 1
 
 let production_counts () =
-  let merged : (int, int) Hashtbl.t = Hashtbl.create 512 in
-  List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun pid n ->
-          Hashtbl.replace merged pid
-            (n + (try Hashtbl.find merged pid with Not_found -> 0)))
-        s.fired)
-    (shards ());
-  Hashtbl.fold (fun pid n acc -> (pid, n) :: acc) merged []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  List.sort compare (merged (fun s -> s.fired) ( + ))
 
-let reset_coverage () =
-  List.iter (fun s -> Hashtbl.reset s.fired) (shards ())
+let reset_coverage () = List.iter (fun s -> Hashtbl.reset s.fired) (shards ())
+
+(* -- phase aggregates --------------------------------------------------- *)
+
+let add_phase s name dt =
+  let total, calls =
+    Option.value ~default:(0., 0) (Hashtbl.find_opt s.timed name)
+  in
+  Hashtbl.replace s.timed name (total +. dt, calls + 1)
+
+let phases () =
+  merged (fun s -> s.timed) (fun (t0, c0) (t, c) -> (t0 +. t, c0 + c))
+  |> List.map (fun (name, (total, calls)) -> (name, total, calls))
+  |> List.sort (fun (_, a, _) (_, b, _) -> compare b a)
+
+let seconds name =
+  List.fold_left
+    (fun acc (n, t, _) -> if n = name then t else acc)
+    0. (phases ())
 
 let reset () =
   List.iter
     (fun s ->
-      s.c.shifts <- 0;
-      s.c.reduces <- 0;
-      s.c.semantic_choices <- 0;
-      s.c.matcher_runs <- 0;
-      s.c.rejects <- 0;
-      s.c.cache_hits <- 0;
-      s.c.cache_misses <- 0;
-      Hashtbl.reset s.timers;
+      s.c <- fresh_counters ();
+      Hashtbl.reset s.timed;
       Hashtbl.reset s.fired)
     (shards ())
 
-let add_time name dt =
-  let timers = (shard ()).timers in
-  let total, calls = try Hashtbl.find timers name with Not_found -> (0., 0) in
-  Hashtbl.replace timers name (total +. dt, calls + 1)
+(* -- counters ----------------------------------------------------------- *)
 
-let time name f =
-  if not !enabled then f ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    Fun.protect ~finally:(fun () -> add_time name (Unix.gettimeofday () -. t0)) f
-  end
+let named_counters () = List.sort compare (merged (fun s -> s.named) ( + ))
 
-let merged_timers () =
-  let merged : (string, float * int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun name (t, calls) ->
-          let t0, c0 =
-            try Hashtbl.find merged name with Not_found -> (0., 0)
-          in
-          Hashtbl.replace merged name (t0 +. t, c0 + calls))
-        s.timers)
-    (shards ());
-  merged
+(* the counter list every exposition shares: the base counters first,
+   then the named counters, in a stable order *)
+let counter_list () =
+  let c = totals () in
+  [
+    ("matcher.runs", c.matcher_runs);
+    ("matcher.shifts", c.shifts);
+    ("matcher.reduces", c.reduces);
+    ("matcher.semantic_choices", c.semantic_choices);
+    ("matcher.rejects", c.rejects);
+    ("tables.cache_hits", c.cache_hits);
+    ("tables.cache_misses", c.cache_misses);
+  ]
+  @ named_counters ()
 
-let seconds name =
-  try fst (Hashtbl.find (merged_timers ()) name) with Not_found -> 0.
-
-let calls name =
-  try snd (Hashtbl.find (merged_timers ()) name) with Not_found -> 0
-
-let phases () =
-  Hashtbl.fold (fun name (total, calls) acc -> (name, total, calls) :: acc)
-    (merged_timers ()) []
-  |> List.sort (fun (_, a, _) (_, b, _) -> compare b a)
+let pp_counters ppf () =
+  Fmt.pf ppf "counters:@.";
+  List.iter (fun (k, v) -> Fmt.pf ppf "  %-28s %10d@." k v) (counter_list ())
 
 let report ppf () =
   let ps = phases () in
@@ -187,8 +228,4 @@ let report ppf () =
       ps;
     Fmt.pf ppf "  %-20s %8.2f ms@." "total" (total *. 1e3)
   end;
-  let c = totals () in
-  Fmt.pf ppf
-    "matcher: %d runs, %d shifts, %d reduces, %d semantic choices, %d rejects@."
-    c.matcher_runs c.shifts c.reduces c.semantic_choices c.rejects;
-  Fmt.pf ppf "table cache: %d hits, %d misses@." c.cache_hits c.cache_misses
+  pp_counters ppf ()

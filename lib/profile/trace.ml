@@ -1,30 +1,27 @@
 (* Structured trace spans, exported as Chrome trace_event JSON.
 
-   Like {!Profile}, every domain records into its own shard without
+   Every domain records into its own {!Profile} shard without
    synchronisation: a span begin/end is a timestamp read plus one list
-   cons in the calling domain's buffer.  The export merges the shards;
-   each shard keeps its domain's id as the Chrome thread id, so a
-   [-j N] batch compile renders as N parallel tracks in
+   cons in the calling domain's event list.  The export merges the
+   shards; each shard keeps its domain's id as the Chrome thread id, so
+   a [-j N] batch compile renders as N parallel tracks in
    chrome://tracing / Perfetto. *)
 
-type phase = B | E
+type phase = Profile.phase = B | E
 
-type event = {
+type event = Profile.event = {
   ev_name : string;
   ev_cat : string;
   ev_ph : phase;
-  ev_ts : float;  (** microseconds since the trace epoch *)
-  ev_track : int;  (** domain id *)
+  ev_ts : float;
+  ev_track : int;
   ev_args : (string * string) list;
-      (** span arguments, e.g. the request id a server span served *)
 }
-
-type shard = { track : int; mutable events : event list }
 
 let enabled = ref false
 
-(* wall-clock relative to a process-start epoch: the same clock the
-   phase timers use, so span durations and Profile.seconds agree *)
+(* wall-clock relative to a process-start epoch; the phase aggregates
+   are differences of these same readings *)
 let epoch = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
 
@@ -33,25 +30,13 @@ let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
    served it) can be stitched onto one real-time axis by trace-merge *)
 let epoch_us () = epoch *. 1e6
 
-let registry : shard list ref = ref []
-let registry_lock = Mutex.create ()
-
-let new_shard () =
-  let s = { track = (Domain.self () :> int); events = [] } in
-  Mutex.protect registry_lock (fun () -> registry := s :: !registry);
-  s
-
-let shard_key = Domain.DLS.new_key new_shard
-let shard () = Domain.DLS.get shard_key
-
-let record ?(args = []) ph ~cat name =
-  let s = shard () in
+let push (s : Profile.shard) ph ~cat ~args name ts =
   s.events <-
     {
       ev_name = name;
       ev_cat = cat;
       ev_ph = ph;
-      ev_ts = now_us ();
+      ev_ts = ts;
       ev_track = s.track;
       ev_args = args;
     }
@@ -60,42 +45,41 @@ let record ?(args = []) ph ~cat name =
 let span ?(cat = "") ?(args = []) name f =
   if not !enabled then f ()
   else begin
-    record ~args B ~cat name;
-    Fun.protect ~finally:(fun () -> record ~args E ~cat name) f
+    let s = Profile.shard () in
+    push s B ~cat ~args name (now_us ());
+    Fun.protect ~finally:(fun () -> push s E ~cat ~args name (now_us ())) f
   end
 
-(* one wrapper for the leaf phases so the span and the {!Profile} timer
-   measure the same interval: the span nests just inside the timer, so
-   their durations agree to within the two extra clock reads *)
-let phase name f = Profile.time name (fun () -> span ~cat:"phase" name f)
+(* the leaf phases: one clock read per edge feeds both the phase
+   aggregate ({!Profile.enabled}) and the span's events ({!enabled}),
+   so the two cannot disagree *)
+let phase name f =
+  let timed = !Profile.enabled and traced = !enabled in
+  if not (timed || traced) then f ()
+  else begin
+    let s = Profile.shard () in
+    let t0 = now_us () in
+    if traced then push s B ~cat:"phase" ~args:[] name t0;
+    Fun.protect
+      ~finally:(fun () ->
+        let t1 = now_us () in
+        if traced then push s E ~cat:"phase" ~args:[] name t1;
+        if timed then Profile.add_phase s name ((t1 -. t0) /. 1e6))
+      f
+  end
 
 let events () =
-  (* registry is most-recent-first; shards never share a track (domain
+  (* shards come most-recent-first and never share a track (domain
      ids are unique for the process lifetime), so concatenating them
      keeps every track's events in record order once each is reversed *)
-  let shards = Mutex.protect registry_lock (fun () -> !registry) in
-  List.concat_map (fun s -> List.rev s.events) (List.rev shards)
+  List.concat_map
+    (fun (s : Profile.shard) -> List.rev s.events)
+    (List.rev (Profile.shards ()))
 
 let reset () =
-  let shards = Mutex.protect registry_lock (fun () -> !registry) in
-  List.iter (fun s -> s.events <- []) shards
+  List.iter (fun (s : Profile.shard) -> s.events <- []) (Profile.shards ())
 
 (* -- Chrome trace_event JSON -------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let args_json args =
   if args = [] then ""
@@ -104,7 +88,7 @@ let args_json args =
       (String.concat ","
          (List.map
             (fun (k, v) ->
-              Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+              Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
             args))
 
 let export () =
@@ -136,35 +120,12 @@ let export () =
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\
             \"pid\":1,\"tid\":%d%s}"
-           (json_escape e.ev_name)
-           (json_escape (if e.ev_cat = "" then "span" else e.ev_cat))
+           (Json.escape e.ev_name)
+           (Json.escape (if e.ev_cat = "" then "span" else e.ev_cat))
            (match e.ev_ph with B -> "B" | E -> "E")
            e.ev_ts e.ev_track (args_json e.ev_args)))
     evs;
   Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents b
 
-let write path =
-  let oc = open_out path in
-  output_string oc (export ());
-  close_out oc
-
-(* total seconds spent in spans named [name]; self-nested spans would
-   double-count, but the instrumented phases never self-nest *)
-let span_seconds name =
-  let evs = events () in
-  let by_track = Hashtbl.create 8 in
-  let total = ref 0. in
-  List.iter
-    (fun e ->
-      if e.ev_name = name then
-        match e.ev_ph with
-        | B -> Hashtbl.replace by_track e.ev_track e.ev_ts
-        | E -> (
-          match Hashtbl.find_opt by_track e.ev_track with
-          | Some t0 ->
-            Hashtbl.remove by_track e.ev_track;
-            total := !total +. ((e.ev_ts -. t0) /. 1e6)
-          | None -> ()))
-    evs;
-  !total
+let write path = Json.write_atomic path (export ())

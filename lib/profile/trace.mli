@@ -2,8 +2,9 @@
 
     A span is a begin/end pair around a unit of compilation work — a
     file, a function, a leaf phase, one tree match.  Spans are recorded
-    into per-domain shards (one timestamp read and one cons per edge,
-    no synchronisation), and {!export} merges the shards into Chrome
+    into the calling domain's {!Profile.shard} (one timestamp read and
+    one cons per edge, no synchronisation), and {!export} merges the
+    shards into Chrome
     trace JSON with the recording domain's id as the thread id — so a
     [ggcc -j N] compile is visually inspectable as N parallel tracks in
     chrome://tracing or Perfetto ([ggcc --trace-out trace.json]).
@@ -11,9 +12,9 @@
     Everything is gated on {!enabled}: with tracing off, {!span} is the
     plain application [f ()] and the hot paths pay one load and branch. *)
 
-type phase = B | E
+type phase = Profile.phase = B | E
 
-type event = {
+type event = Profile.event = {
   ev_name : string;
   ev_cat : string;
   ev_ph : phase;
@@ -32,10 +33,12 @@ val enabled : bool ref
     if [f] raises; [args] ride on both edges. *)
 val span : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
-(** [phase name f] = {!Profile.time}[ name] around {!span}[ name f]:
-    the standing leaf-phase instrumentation records both the aggregate
-    timer and the per-call span over the same interval, so the trace
-    durations and [Profile.seconds] agree. *)
+(** [phase name f] — the standing leaf-phase instrumentation, the only
+    phase timer.  One clock read per edge feeds both [name]'s phase
+    aggregate ({!Profile.seconds}, when {!Profile.enabled}) and a
+    [phase]-category span (when {!enabled}), so the trace durations and
+    the [--profile] numbers are the same readings.  Transparent when
+    both are off. *)
 val phase : string -> (unit -> 'a) -> 'a
 
 (** All recorded events, every track in record order (hence balanced
@@ -52,19 +55,13 @@ val now_us : unit -> float
     timeline. *)
 val epoch_us : unit -> float
 
-(** Drop all recorded events in every shard.  Call only while no other
+(** Drop all recorded events in every shard; counters, coverage, phase
+    aggregates and histograms are left alone.  Call only while no other
     domain is recording. *)
 val reset : unit -> unit
 
 (** The Chrome [trace_event] JSON document for the recorded events. *)
 val export : unit -> string
 
-(** Escape a string for inclusion in a JSON string literal (shared by
-    the trace and metrics expositions). *)
-val json_escape : string -> string
-
+(** {!export}, written atomically ({!Json.write_atomic}). *)
 val write : string -> unit
-
-(** Total seconds covered by spans named [name] (summed across tracks);
-    used to cross-check span durations against {!Profile.seconds}. *)
-val span_seconds : string -> float

@@ -125,4 +125,4 @@ let default_handler ~server ~drain cmd =
     Printf.sprintf
       "{\"error\":\"unknown command %s\",\"commands\":[\"stats\",\"health\",\
        \"metrics\",\"flight\",\"drain\"]}\n"
-      (Gg_profile.Trace.json_escape other)
+      (Gg_profile.Json.escape other)

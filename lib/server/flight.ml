@@ -7,7 +7,7 @@
    record; that is exactly the guarantee a SIGQUIT dump or the crash
    barrier needs while the worker domains keep flying. *)
 
-module Trace = Gg_profile.Trace
+module Json = Gg_profile.Json
 
 type entry = {
   fe_id : string;  (* request id *)
@@ -55,10 +55,10 @@ let entry_json e =
     "{\"id\":\"%s\",\"bytes\":%d,\"target\":\"%s\",\"regalloc\":\"%s\",\
      \"outcome\":\"%s\",\"queue_wait_us\":%d,\"latency_us\":%d,\
      \"worker\":%d,\"ts\":%.6f}"
-    (Trace.json_escape e.fe_id) e.fe_bytes
-    (Trace.json_escape e.fe_target)
-    (Trace.json_escape e.fe_regalloc)
-    (Trace.json_escape e.fe_outcome)
+    (Json.escape e.fe_id) e.fe_bytes
+    (Json.escape e.fe_target)
+    (Json.escape e.fe_regalloc)
+    (Json.escape e.fe_outcome)
     e.fe_queue_wait_us e.fe_latency_us e.fe_worker e.fe_ts
 
 let to_json t =
@@ -75,15 +75,6 @@ let to_json t =
   Buffer.add_string b "]}\n";
   Buffer.contents b
 
-(* tmp + rename, like Metrics.write_json_atomic: the dump path is read
-   by operators after a crash, so it must never hold a torn document *)
-let dump t path =
-  let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  let oc = open_out tmp in
-  (try output_string oc (to_json t)
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
+(* atomic: the dump path is read by operators after a crash, so it
+   must never hold a torn document *)
+let dump t path = Json.write_atomic path (to_json t)

@@ -6,7 +6,7 @@
    rendered line at once, so concurrent workers never interleave
    fragments and a tail -f reader always sees complete records. *)
 
-module Trace = Gg_profile.Trace
+module Json = Gg_profile.Json
 
 type level = Debug | Info | Warn
 
@@ -53,17 +53,17 @@ let render level ~event fields =
   Buffer.add_string b
     (Printf.sprintf "{\"ts\":\"%s\",\"level\":\"%s\",\"event\":\"%s\""
        (timestamp ()) (level_name level)
-       (Trace.json_escape event));
+       (Json.escape event));
   List.iter
     (fun f ->
       match f with
       | F_str (k, v) ->
         Buffer.add_string b
-          (Printf.sprintf ",\"%s\":\"%s\"" (Trace.json_escape k)
-             (Trace.json_escape v))
+          (Printf.sprintf ",\"%s\":\"%s\"" (Json.escape k)
+             (Json.escape v))
       | F_int (k, v) ->
         Buffer.add_string b
-          (Printf.sprintf ",\"%s\":%d" (Trace.json_escape k) v))
+          (Printf.sprintf ",\"%s\":%d" (Json.escape k) v))
     fields;
   Buffer.add_char b '}';
   Buffer.contents b

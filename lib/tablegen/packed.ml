@@ -410,15 +410,12 @@ let miss_code t s a =
   then 0
   else Array.unsafe_get t.defaults s
 
-(* cold-partition probes taken by each domain; the matcher reads the
-   count before and after a run, so the comb-hit path carries no
-   telemetry *)
-let cold_key = Domain.DLS.new_key (fun () -> ref 0)
-let cold_probes () = !(Domain.DLS.get cold_key)
-
-(* a cold state binary-searches its exception list *)
+(* a cold state binary-searches its exception list; it counts the probe
+   in the domain's [cold_probes], which the matcher reads before and
+   after a run, so the comb-hit path carries no telemetry *)
 let cold_code t s a =
-  incr (Domain.DLS.get cold_key);
+  let c = Gg_profile.Profile.counters () in
+  c.cold_probes <- c.cold_probes + 1;
   let lo = ref (Array.unsafe_get t.cold_off s) in
   let hi = ref (Array.unsafe_get t.cold_off (s + 1)) in
   let res = ref (-1) in

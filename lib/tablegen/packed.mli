@@ -133,7 +133,8 @@ val action : t -> int -> int -> Tables.action
     are [tie_candidates t i] (one [i] per distinct candidate array).
     [action t s a = decode (tie_candidates t) (action_code t s a)] in
     every cell.  O(1) for states in the comb, O(log row) for cold
-    ones; a cold probe bumps the calling domain's {!cold_probes}. *)
+    ones; a cold probe bumps the calling domain's
+    [Gg_profile.Profile] [cold_probes] counter. *)
 val action_code : t -> int -> int -> int
 
 (** [decode tie code] — the {!Tables.action} an integer code stands
@@ -143,10 +144,6 @@ val decode : (int -> int array) -> int -> Tables.action
 (** The candidate array of tie [i], in the same order the dense table's
     [Reduce] carries them. *)
 val tie_candidates : t -> int -> int array
-
-(** The number of cold-state probes the calling domain has made, over
-    all tables: a running count, read before and after a matcher run. *)
-val cold_probes : unit -> int
 
 (** [has_action t s a] — does state [s] have a non-error action on
     terminal [a]?  O(1) bitset probe. *)

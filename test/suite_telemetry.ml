@@ -251,19 +251,36 @@ let test_trace_spans_balanced () =
       Hashtbl.replace last e.Trace.ev_track e.Trace.ev_ts)
     events
 
+(* total seconds spent in spans named [name]; self-nested spans would
+   double-count, but the instrumented phases never self-nest *)
+let span_seconds name =
+  let by_track = Hashtbl.create 8 in
+  List.fold_left
+    (fun total (e : Trace.event) ->
+      if e.Trace.ev_name <> name then total
+      else
+        match e.Trace.ev_ph with
+        | Trace.B ->
+          Hashtbl.replace by_track e.Trace.ev_track e.Trace.ev_ts;
+          total
+        | Trace.E -> (
+          match Hashtbl.find_opt by_track e.Trace.ev_track with
+          | Some t0 ->
+            Hashtbl.remove by_track e.Trace.ev_track;
+            total +. ((e.Trace.ev_ts -. t0) /. 1e6)
+          | None -> total))
+    0. (Trace.events ())
+
 let test_trace_agrees_with_profile () =
   with_trace ();
   let agree name =
     let timer = Profile.seconds name in
-    let spans = Trace.span_seconds name in
+    let spans = span_seconds name in
     Alcotest.(check bool) (name ^ " was timed") true (timer > 0.);
-    (* Trace.phase nests the span directly inside the timer over the
-       same clock, so the two totals track within 5% (the span also
-       pays the trace-record edges; allow an absolute floor for
-       micro-second phases) *)
-    let diff = Float.abs (timer -. spans) in
-    if diff > 0.05 *. timer +. 50e-6 then
-      Alcotest.failf "%s: timer %.6fs vs spans %.6fs" name timer spans
+    (* Trace.phase feeds the aggregate and the span edges from the same
+       clock reads, so the totals differ only by float summation order *)
+    if Float.abs (timer -. spans) > 1e-6 then
+      Alcotest.failf "%s: timer %.9fs vs spans %.9fs" name timer spans
   in
   agree "phase2.match";
   agree "phase1.transform";
@@ -354,6 +371,88 @@ let test_metrics_reset () =
   Alcotest.(check bool)
     "no live named counters after reset" true
     (List.for_all (fun (_, v) -> v = 0) named)
+
+(* every part of the one store, as plain values: counters, coverage,
+   phase aggregates, histograms, named counters, trace events *)
+type store = {
+  st_counters : (string * int) list;
+  st_coverage : (int * int) list;
+  st_phases : (string * float * int) list;
+  st_histos : (string * int * (int option * int) list) list;
+  st_named : (string * int) list;
+  st_events : int;
+}
+
+let store () =
+  {
+    st_counters =
+      List.filter
+        (fun (k, _) -> not (List.mem_assoc k (Metrics.named_counters ())))
+        (Profile.counter_list ());
+    st_coverage = Profile.production_counts ();
+    st_phases = Profile.phases ();
+    st_histos =
+      List.map
+        (fun h -> (Metrics.name h, Metrics.count h, Metrics.buckets h))
+        (Metrics.all ());
+    st_named = Metrics.named_counters ();
+    st_events = List.length (Trace.events ());
+  }
+
+(* the ledger resets one view at a time (Trace alone between set-up
+   passes, Profile alone around its PCC timing), so each reset must
+   clear its own part of the shard and nothing else *)
+let test_resets_stay_scoped () =
+  let filled () =
+    all_off ();
+    Profile.enabled := true;
+    Trace.enabled := true;
+    Metrics.enabled := true;
+    Profile.coverage_enabled := true;
+    ignore (compile_corpus ~jobs:4 ());
+    Metrics.incr "test.reset_scope";
+    Profile.coverage_enabled := false;
+    let before = store () in
+    Alcotest.(check bool) "everything recorded" true
+      (before.st_coverage <> [] && before.st_phases <> []
+      && before.st_events > 0
+      && List.assoc "matcher.runs" before.st_counters > 0
+      && List.mem_assoc "test.reset_scope" before.st_named);
+    before
+  in
+  let same what a b = Alcotest.(check bool) what true (a = b) in
+  Fun.protect ~finally:all_off @@ fun () ->
+  let before = filled () in
+  Trace.reset ();
+  let after = store () in
+  Alcotest.(check int) "Trace.reset drops events" 0 after.st_events;
+  same "Trace.reset keeps counters" before.st_counters after.st_counters;
+  same "Trace.reset keeps coverage" before.st_coverage after.st_coverage;
+  same "Trace.reset keeps phases" before.st_phases after.st_phases;
+  same "Trace.reset keeps histograms" before.st_histos after.st_histos;
+  same "Trace.reset keeps named counters" before.st_named after.st_named;
+  let before = filled () in
+  Profile.reset ();
+  let after = store () in
+  Alcotest.(check int) "Profile.reset zeroes matcher.runs" 0
+    (List.assoc "matcher.runs" after.st_counters);
+  same "Profile.reset drops coverage" [] after.st_coverage;
+  same "Profile.reset drops phases" [] after.st_phases;
+  Alcotest.(check int) "Profile.reset keeps events" before.st_events
+    after.st_events;
+  same "Profile.reset keeps histograms" before.st_histos after.st_histos;
+  same "Profile.reset keeps named counters" before.st_named after.st_named;
+  let before = filled () in
+  Metrics.reset ();
+  let after = store () in
+  Alcotest.(check bool) "Metrics.reset zeroes histograms" true
+    (List.for_all (fun (_, n, _) -> n = 0) after.st_histos);
+  same "Metrics.reset drops named counters" [] after.st_named;
+  same "Metrics.reset keeps counters" before.st_counters after.st_counters;
+  same "Metrics.reset keeps phases" before.st_phases after.st_phases;
+  same "Metrics.reset keeps coverage" before.st_coverage after.st_coverage;
+  Alcotest.(check int) "Metrics.reset keeps events" before.st_events
+    after.st_events
 
 let test_metrics_json_well_formed () =
   with_metrics ();
@@ -574,26 +673,42 @@ let test_atomic_write_leaves_no_tmp () =
   all_off ();
   Metrics.enabled := true;
   Profile.enabled := true;
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "ggcg-test-metrics-%d.json" (Unix.getpid ()))
+  Trace.enabled := true;
+  ignore (Trace.span "atomic" (fun () -> ()));
+  let recorder = Gg_server.Flight.create 4 in
+  let dir = Filename.get_temp_dir_name () in
+  let path what =
+    Filename.concat dir (Fmt.str "ggcg-test-%s-%d.json" what (Unix.getpid ()))
   in
-  Metrics.write_json_atomic path;
+  (* every telemetry document goes through the one tmp+rename writer *)
+  let docs =
+    [
+      ("metrics", Metrics.write_json_atomic);
+      ("trace", Trace.write);
+      ("flight", Gg_server.Flight.dump recorder);
+    ]
+  in
   Fun.protect ~finally:(fun () ->
       all_off ();
-      try Sys.remove path with Sys_error _ -> ())
+      List.iter
+        (fun (what, _) -> try Sys.remove (path what) with Sys_error _ -> ())
+        docs)
   @@ fun () ->
-  check_json "atomic snapshot" (In_channel.with_open_text path In_channel.input_all);
-  (* the temp sibling is renamed away, never left behind *)
-  let dir = Filename.dirname path and base = Filename.basename path in
-  let leftovers =
-    Array.to_list (Sys.readdir dir)
-    |> List.filter (fun f ->
-           String.length f > String.length base
-           && String.sub f 0 (String.length base) = base)
-  in
-  Alcotest.(check (list string)) "no tmp leftovers" [] leftovers
+  List.iter
+    (fun (what, write) ->
+      let file = path what in
+      write file;
+      check_json what (In_channel.with_open_text file In_channel.input_all);
+      (* the temp sibling is renamed away, never left behind *)
+      let base = Filename.basename file in
+      let leftovers =
+        Array.to_list (Sys.readdir dir)
+        |> List.filter (fun f ->
+               String.length f > String.length base
+               && String.sub f 0 (String.length base) = base)
+      in
+      Alcotest.(check (list string)) (what ^ ": no tmp leftovers") [] leftovers)
+    docs
 
 (* -- the Json reader the ops tools are built on ------------------------------- *)
 
@@ -748,6 +863,8 @@ let suite =
       test_metrics_exact_under_parallelism;
     Alcotest.test_case "Metrics.reset clears every shard" `Quick
       test_metrics_reset;
+    Alcotest.test_case "resets stay scoped under one shard" `Quick
+      test_resets_stay_scoped;
     Alcotest.test_case "metrics sidecar is well-formed JSON" `Quick
       test_metrics_json_well_formed;
     Alcotest.test_case "quantile: empty, monotone, bounded" `Quick
