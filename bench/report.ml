@@ -51,11 +51,11 @@ let counter name =
   Option.value ~default:0 (List.assoc_opt name (Metrics.named_counters ()))
 
 let null_cb : unit Matcher.callbacks =
-  {
-    Matcher.on_shift = (fun _ -> ());
-    on_reduce = (fun _ _ -> ());
-    choose = (fun _ _ -> 0);
-  }
+  Matcher.callbacks
+    ~on_shift:(fun _ -> ())
+    ~on_reduce:(fun _ _ -> ())
+    ~choose:(fun _ _ -> 0)
+    ()
 
 (* -- corpora ------------------------------------------------------------------ *)
 
@@ -401,6 +401,99 @@ let coverage () =
          if i < 8 then row "  %a@." (Grammar.pp_production g) p)
 
 (* ============================================================================ *)
+(* CHAIN: chain-rule reductions, and the share unit-rule elimination could skip *)
+(* ============================================================================ *)
+
+(* Replays each tree's trace over the packed tables to recover the state
+   of every reduction, counting the chain-rule reductions and those made
+   in a state whose every valid action is that same reduction: the
+   states a constructor-time unit-rule elimination could bypass.  The
+   trees are matched after Phase 1 with no semantics, as PROF does. *)
+let chains () =
+  section
+    "CHAIN: chain-rule reductions on the fixed corpus (the bound on \
+     unit-rule elimination)";
+  List.iter
+    (fun target ->
+      let tables = Targets.default_tables target in
+      let g = tables.Driver.grammar and packed = tables.Driver.packed in
+      let symtab = g.Grammar.symtab in
+      (* [only_reduce s c]: every valid action of state [s] has code [c] *)
+      let memo = Hashtbl.create 256 in
+      let only_reduce s c =
+        match Hashtbl.find_opt memo (s, c) with
+        | Some b -> b
+        | None ->
+          let b =
+            List.for_all
+              (fun a -> Packed.action_code packed s a = c)
+              (Packed.expected packed s)
+          in
+          Hashtbl.add memo (s, c) b;
+          b
+      in
+      let reductions = ref 0 and chains = ref 0 and bypassable = ref 0 in
+      let replayed = ref true in
+      let replay steps =
+        (* [stack] holds the state under each value, top first *)
+        let rec go state stack = function
+          | [] | Matcher.Saccept :: _ -> ()
+          | Matcher.Sshift name :: rest ->
+            let c =
+              Packed.action_code packed state
+                (Gg_grammar.Symtab.term_id symtab name)
+            in
+            replayed := !replayed && c land 3 = 1;
+            go (c lsr 2) (state :: stack) rest
+          | Matcher.Sreduce id :: rest ->
+            let p = Grammar.production g id in
+            incr reductions;
+            if
+              Grammar.is_chain p
+              && Gg_grammar.Action.equal p.Grammar.action Gg_grammar.Action.Chain
+            then begin
+              incr chains;
+              if only_reduce state ((id lsl 2) lor 2) then incr bypassable
+            end;
+            (* pop the rhs; the state it exposes stays under the lhs *)
+            let stack =
+              List.filteri (fun i _ -> i >= Array.length p.Grammar.rhs - 1) stack
+            in
+            go (Packed.goto packed (List.hd stack) p.Grammar.lhs) stack rest
+        in
+        go 0 [] steps
+      in
+      let reds0 = (Profile.totals ()).Profile.reduces in
+      let leaf_need = tables.Driver.backend.Backend.leaf_need in
+      List.iter
+        (fun (_, prog) ->
+          List.iter
+            (fun f ->
+              let tr = Transform.run ~leaf_need f in
+              List.iter
+                (function
+                  | Tree.Stree t ->
+                    replay
+                      (Matcher.run_tree ~trace:true ~grammar:g packed null_cb t)
+                        .Matcher.trace
+                  | _ -> ())
+                tr.Transform.func.Tree.body)
+            prog.Tree.funcs)
+        (Lazy.force fixed_progs);
+      row
+        "%-5s %6d reductions, %6d by chain rules (%.1f%%), %6d of them in \
+         states whose only action is that reduction (%.1f%% of chains)@."
+        (Targets.name target) !reductions !chains (pct !chains !reductions)
+        !bypassable (pct !bypassable !chains);
+      (* the replay follows the matcher: every traced shift is a shift
+         in the replayed state, and the reductions match the counter *)
+      let ctrs = Profile.totals () in
+      gate
+        (Targets.name target ^ " CHAIN replay follows the matcher")
+        (!replayed && ctrs.Profile.reduces = reds0 + !reductions))
+    Targets.all
+
+(* ============================================================================ *)
 (* APPX: the Appendix shift/reduce trace                                          *)
 (* ============================================================================ *)
 
@@ -619,7 +712,7 @@ let () =
     (fun f -> f ())
     [
       grammar_stats; reverse_ops; table_size; code_size; idioms; peephole;
-      coverage; appendix; retarget; regalloc; specialize; determinism;
+      coverage; chains; appendix; retarget; regalloc; specialize; determinism;
     ];
   match List.rev !failed with
   | [] -> ()

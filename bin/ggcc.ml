@@ -108,44 +108,6 @@ let handle_errors f =
     Fmt.epr "assembler parse error, line %d: %s@." line m;
     exit 4
 
-(* Arm the requested instruments before compiling and flush their
-   expositions afterwards.  The wall-clock timers come on for any of
-   them: the trace needs them for nothing, but the metrics sidecar
-   embeds the phase table, and --trace-out alongside --profile is the
-   common case anyway. *)
-let with_telemetry ?(trace_out = None) ?(metrics = false) ?(metrics_out = None)
-    ?(explain = false) profile f =
-  let any =
-    profile || metrics || trace_out <> None || metrics_out <> None
-  in
-  if any then begin
-    Gg_profile.Profile.enabled := true;
-    Gg_profile.Profile.reset ()
-  end;
-  if trace_out <> None then begin
-    Gg_profile.Trace.enabled := true;
-    Gg_profile.Trace.reset ()
-  end;
-  if metrics || metrics_out <> None then begin
-    Gg_profile.Metrics.enabled := true;
-    Gg_profile.Metrics.reset ()
-  end;
-  if explain then Gg_profile.Profile.provenance_enabled := true;
-  (* flush the sidecars even when the compile raises (reject, crash,
-     deadline): a failing run is exactly the one whose telemetry the
-     operator wants on disk; atomic writes so a crash mid-flush never
-     leaves a torn document *)
-  Fun.protect ~finally:(fun () ->
-      Option.iter Gg_profile.Metrics.write_json_atomic metrics_out;
-      Option.iter Gg_profile.Trace.write trace_out)
-  @@ fun () ->
-  let r = f () in
-  if profile then Fmt.epr "%a" Gg_profile.Profile.report ();
-  if metrics then Fmt.epr "%a" Gg_profile.Metrics.report ();
-  r
-
-let with_profile profile f = with_telemetry profile f
-
 (* Route one compile through a ggccd daemon.  The server runs the same
    compile path with the same options, so the assembly (or the error
    text and exit code) is identical to compiling directly. *)
@@ -218,7 +180,8 @@ let compile_cmd path backend target regalloc heat_file specialize idioms
         | None -> []
         | Some path -> Gg_codegen.Color.load_heat path
       in
-      with_telemetry ~trace_out ~metrics ~metrics_out ~explain profile
+      Gg_profile.Telemetry.with_telemetry ~profile ~metrics ?trace_out
+        ?metrics_out ~explain
       @@ fun () ->
       let src = read_file path in
       let asm, globals =
@@ -271,7 +234,7 @@ let interp_cmd path args =
 
 let trace_cmd path target tables_file no_cache profile =
   handle_errors (fun () ->
-      with_profile profile @@ fun () ->
+      Gg_profile.Telemetry.with_telemetry ~profile @@ fun () ->
       let prog = Sema.compile (read_file path) in
       let tables = gg_tables ~target ~tables_file ~no_cache ~specialize:None () in
       let b = Driver.backend tables in

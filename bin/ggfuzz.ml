@@ -182,33 +182,15 @@ let metrics_out_arg =
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:"Write the metric registry as JSON to $(docv).")
 
-let with_telemetry ~profile ~trace_out ~metrics ~metrics_out f =
-  if profile || metrics || trace_out <> None || metrics_out <> None then begin
-    Gg_profile.Profile.enabled := true;
-    Gg_profile.Profile.reset ()
-  end;
-  if trace_out <> None then begin
-    Gg_profile.Trace.enabled := true;
-    Gg_profile.Trace.reset ()
-  end;
-  if metrics || metrics_out <> None then begin
-    Gg_profile.Metrics.enabled := true;
-    Gg_profile.Metrics.reset ()
-  end;
-  let r = f () in
-  if profile then Fmt.epr "%a" Gg_profile.Profile.report ();
-  if metrics then Fmt.epr "%a" Gg_profile.Metrics.report ();
-  Option.iter Gg_profile.Metrics.write_json_atomic metrics_out;
-  Option.iter Gg_profile.Trace.write trace_out;
-  r
-
 let fuzz_cmd (seed_lo, seed_hi) regalloc targets stmts depth max_nest
     functions straight_line corpus_dir coverage verbose_cov quiet shrink_checks
     jobs profile trace_out metrics metrics_out =
   (* run the campaign under the telemetry wrapper but exit after it, so
      a divergence still flushes the trace/metrics files *)
   let n_div =
-    with_telemetry ~profile ~trace_out ~metrics ~metrics_out @@ fun () ->
+    Gg_profile.Telemetry.with_telemetry ~profile ~metrics ?trace_out
+      ?metrics_out
+    @@ fun () ->
   let cfg =
     {
       Campaign.seed_lo;

@@ -6,11 +6,14 @@ type production = {
   note : string;
 }
 
+type binding = Binding : 'a Type.Id.t * 'a -> binding
+
 type t = {
   symtab : Symtab.t;
   start : int;
   prods : production array;
   by_lhs : int array array;
+  derived : binding list Atomic.t;
 }
 
 type spec = string * string list * Action.t * string
@@ -65,13 +68,44 @@ let make ~start specs =
                (fun p -> if p.lhs = n then Some p.id else None)
                (Array.to_seq prods)))
     in
-    Ok { symtab; start = start_idx; prods; by_lhs }
+    Ok { symtab; start = start_idx; prods; by_lhs; derived = Atomic.make [] }
   with Bad msg -> Error msg
 
 let make_exn ~start specs =
   match make ~start specs with
   | Ok g -> g
   | Error msg -> invalid_arg ("Grammar.make: " ^ msg)
+
+type 'a derived = { id : 'a Type.Id.t; compute : t -> 'a }
+
+let derive compute = { id = Type.Id.make (); compute }
+
+let rec lookup : type a. a Type.Id.t -> binding list -> a option =
+ fun id -> function
+  | [] -> None
+  | Binding (id', v) :: rest -> (
+    match Type.Id.provably_equal id id' with
+    | Some Type.Equal -> Some v
+    | None -> lookup id rest)
+
+(* Domains that race on the first use may each compute the value; the
+   first to publish wins and the others adopt its value, so every
+   domain ends up with the same one. *)
+let derived g d =
+  match lookup d.id (Atomic.get g.derived) with
+  | Some v -> v
+  | None ->
+    let v = d.compute g in
+    let rec publish () =
+      let seen = Atomic.get g.derived in
+      match lookup d.id seen with
+      | Some v' -> v'
+      | None ->
+        if Atomic.compare_and_set g.derived seen (Binding (d.id, v) :: seen)
+        then v
+        else publish ()
+    in
+    publish ()
 
 let n_productions g = Array.length g.prods
 let production g i = g.prods.(i)

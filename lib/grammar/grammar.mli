@@ -16,11 +16,14 @@ type production = {
           instruction the production describes *)
 }
 
+type binding
+
 type t = private {
   symtab : Symtab.t;
   start : int;
   prods : production array;
   by_lhs : int array array;  (** production ids per lhs non-terminal *)
+  derived : binding list Atomic.t;  (** see {!derived} *)
 }
 
 (** A production before interning: lhs, rhs, action, note. *)
@@ -33,6 +36,20 @@ val make : start:string -> spec list -> (t, string) result
 
 (** Like {!make} but raises [Invalid_argument]. *)
 val make_exn : start:string -> spec list -> t
+
+(** {2 Values derived from a grammar} *)
+
+(** A value computed from a grammar, such as a target's semantic
+    actions resolved per production. *)
+type 'a derived
+
+(** [derive f] names the value [f g] of each grammar [g]. *)
+val derive : (t -> 'a) -> 'a derived
+
+(** [derived g d] is [f g] for [d = derive f], computed on the first
+    request and kept with [g]: every later request, from any domain,
+    returns the same value. *)
+val derived : t -> 'a derived -> 'a
 
 val n_productions : t -> int
 val production : t -> int -> production

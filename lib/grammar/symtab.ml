@@ -1,13 +1,66 @@
 type sym = T of int | N of int
 
+(* The terminal cache: an open-addressing table (linear probing) of
+   [mask + 1] slots, at most a quarter of them used, in which every
+   terminal has a slot of its own.  [names.(slot)] is [vacant] or a
+   string spelling the slot's terminal [ids.(slot)]; [slot.(i)] is
+   terminal [i]'s slot. *)
+type cache = {
+  mask : int;
+  names : string array;
+  ids : int array;
+  slot : int array;
+}
+
 type t = {
   by_name : (string, sym) Hashtbl.t;
   mutable term_names : string array;
   mutable n_terms : int;
   mutable nonterm_names : string array;
   mutable n_nonterms : int;
-  term_cache : (string * int) array;
+  mutable term_cache : cache;
 }
+
+(* a string no caller can hold: it marks a vacant slot *)
+let vacant = String.make 1 '\000'
+
+(* FNV-1a over the name *)
+let hash s =
+  let h = ref 0x811c9dc5 in
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
+  done;
+  !h lxor (!h lsr 17)
+
+(* place terminal [i] in the first vacant slot from its home slot *)
+let place c name i =
+  let rec go k =
+    if c.ids.(k) < 0 then begin
+      c.ids.(k) <- i;
+      c.names.(k) <- name;
+      c.slot.(i) <- k
+    end
+    else go ((k + 1) land c.mask)
+  in
+  go (hash name land c.mask)
+
+(* a cache over the first [n] terminals, with room for [capacity]
+   (at least 16 slots, four per terminal) *)
+let build_cache term_names n ~capacity =
+  let rec size m = if m + 1 >= 4 * capacity then m else size ((2 * m) + 1) in
+  let mask = size 15 in
+  let c =
+    {
+      mask;
+      names = Array.make (mask + 1) vacant;
+      ids = Array.make (mask + 1) (-1);
+      slot = Array.make capacity (-1);
+    }
+  in
+  for i = 0 to n - 1 do
+    place c term_names.(i) i
+  done;
+  c
 
 let create () =
   {
@@ -16,7 +69,7 @@ let create () =
     n_terms = 0;
     nonterm_names = Array.make 64 "";
     n_nonterms = 0;
-    term_cache = Array.make 64 ("", -1);
+    term_cache = build_cache [||] 0 ~capacity:16;
   }
 
 let is_terminal_name s =
@@ -48,6 +101,13 @@ let intern t s =
         t.term_names <- push t.term_names t.n_terms s;
         let sym = T t.n_terms in
         t.n_terms <- t.n_terms + 1;
+        (* every terminal gets a slot of its own as it is interned, so
+           the cache is complete before the table is shared *)
+        let c = t.term_cache in
+        if t.n_terms <= Array.length c.slot then place c s (t.n_terms - 1)
+        else
+          t.term_cache <-
+            build_cache t.term_names t.n_terms ~capacity:(2 * t.n_terms);
         sym
       end
       else begin
@@ -62,26 +122,36 @@ let intern t s =
 
 let find t s = Hashtbl.find_opt t.by_name s
 
-(* A small direct-mapped cache in front of the hashtable.  Token names
-   are shared string constants ({!Gg_ir.Termname}), so after the first
-   lookup a name is recognised by pointer.  Each slot holds one
-   immutable (name, id) pair and an update is a single pointer store,
-   so the cache is safe to share between domains: a racing reader sees
-   either the old or the new pair, and a lost update only costs a
-   future miss.  Only terminals are cached, and a terminal's id never
-   changes once interned, so no entry goes stale and ids stay
-   cache-independent (parallel compiles stay deterministic). *)
+(* Every terminal owns a slot of the cache, so after the first lookup
+   of a name through a given string (the token names are shared
+   constants, {!Gg_ir.Termname}) it is recognised by pointer: one hash
+   over the name, then pointer comparisons along the probe sequence
+   (one, mostly, at a load of at most a quarter).  Anything else — the
+   first sight of a string, a non-terminal, an unknown name — reaches a
+   vacant slot and falls through to the hashtable; a terminal's string
+   is then stored in the terminal's slot with a single pointer store.
+   That store only ever replaces a string by another spelling of the
+   same name, and the ids never change once the table is shared, so
+   domains may share the cache and race on it freely. *)
 let term_id t s =
-  let slot = (Char.code (String.unsafe_get s 0) + String.length s) land 63 in
-  let cs, cid = Array.unsafe_get t.term_cache slot in
-  if cs == s then cid
-  else
-    match Hashtbl.find t.by_name s with
-    | T i ->
-      Array.unsafe_set t.term_cache slot (s, i);
-      i
-    | N _ -> -1
-    | exception Not_found -> -1
+  let c = t.term_cache in
+  let rec probe k =
+    let name = Array.unsafe_get c.names k in
+    if name == s then Array.unsafe_get c.ids k
+    else if name == vacant then
+      match Hashtbl.find t.by_name s with
+      | T i ->
+        c.names.(c.slot.(i)) <- s;
+        i
+      | N _ -> -1
+      | exception Not_found -> -1
+    else probe ((k + 1) land c.mask)
+  in
+  probe (hash s land c.mask)
+
+let term_slot t i =
+  assert (i >= 0 && i < t.n_terms);
+  t.term_cache.slot.(i)
 
 let term_name t i =
   assert (i >= 0 && i < t.n_terms);

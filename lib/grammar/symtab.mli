@@ -25,12 +25,17 @@ val intern : t -> string -> sym
 val find : t -> string -> sym option
 
 (** [term_id t s] is the terminal index of [s], or [-1] when [s] is
-    unknown or a non-terminal.  Equivalent to {!find} but allocation
-    free after the first lookup of a name — the matcher interns every
-    token of every tree through this.  A pointer-equality cache over
-    the table recognises the shared token-name constants without
-    hashing; it is safe to share between domains. *)
+    unknown or a non-terminal.  Equivalent to {!find}, and allocation
+    free — the matcher interns every token of every tree through this.
+    Every terminal owns a slot of a cache in front of the hashtable, so
+    once a string has been looked up it is recognised by pointer
+    without touching the hashtable again.  Safe to share between
+    domains. *)
 val term_id : t -> string -> int
+
+(** [term_slot t i] is terminal [i]'s slot in {!term_id}'s cache;
+    distinct terminals have distinct slots. *)
+val term_slot : t -> int -> int
 
 val name : t -> sym -> string
 val term_name : t -> int -> string

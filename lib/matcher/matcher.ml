@@ -4,11 +4,31 @@ module Trace = Gg_profile.Trace
 module Metrics = Gg_profile.Metrics
 module Packed = Gg_tablegen.Packed
 
+(* The parse stack one set of callbacks keeps across runs: an int array
+   of states and an ['a] array of values, typed by the callbacks' own
+   ['a].  [busy] hands it to one run at a time; a run that finds it
+   taken (a callback re-entering the matcher, or another domain using
+   the same callbacks) allocates its own. *)
+type 'a scratch = {
+  busy : bool Atomic.t;
+  mutable st : int array;
+  mutable sv : 'a array;
+}
+
 type 'a callbacks = {
   on_shift : Termname.token -> 'a;
   on_reduce : Grammar.production -> 'a array -> 'a;
   choose : Grammar.production array -> 'a array list -> int;
+  scratch : 'a scratch;
 }
+
+let callbacks ~on_shift ~on_reduce ~choose () =
+  {
+    on_shift;
+    on_reduce;
+    choose;
+    scratch = { busy = Atomic.make false; st = [||]; sv = [||] };
+  }
 
 type step = Sshift of string | Sreduce of int | Saccept
 
@@ -28,25 +48,15 @@ type 'a outcome = { value : 'a; trace : step list }
 
    The loop is the compiler's hottest code (paper Fig. 2: ~half of code
    generation), so it allocates nothing per action: the parse stack is
-   a pair of preallocated growable arrays instead of a (state, value)
-   list, each token is interned to its terminal id exactly once — when
-   it becomes the lookahead, which is then carried through consecutive
-   reductions instead of being re-derived at every step
-   ({!Symtab.term_id}, allocation free) — and actions arrive as integer
-   codes ({!Packed.action_code}) rather than [Tables.action] blocks,
-   which the lookup would otherwise rebuild on every probe.  The only
-   per-reduction allocation left is the argument array handed to
-   [on_reduce], which is part of the callback contract. *)
-(* The state half of the parse stack is a monomorphic int array, so
-   each domain keeps one across runs instead of allocating per tree
-   (the ['a] value half cannot be reused without erasure tricks).
-   [busy] guards re-entrancy: a callback that runs the matcher again
-   gets a fresh allocation rather than the in-use scratch. *)
-type state_scratch = { mutable st : int array; mutable busy : bool }
-
-let scratch_key =
-  Domain.DLS.new_key (fun () -> { st = [||]; busy = false })
-
+   a pair of arrays kept in the callbacks' scratch across runs instead
+   of a (state, value) list, each token is interned to its terminal id
+   exactly once — when it becomes the lookahead, which is then carried
+   through consecutive reductions instead of being re-derived at every
+   step ({!Symtab.term_id}, allocation free) — and actions arrive as
+   integer codes ({!Packed.action_code}) rather than [Tables.action]
+   blocks, which the lookup would otherwise rebuild on every probe.
+   The only per-reduction allocation left is the argument array handed
+   to [on_reduce], which is part of the callback contract. *)
 let run ?(trace = false) ~grammar:(g : Grammar.t) (packed : Packed.t) cb
     tokens =
   let symtab = g.Grammar.symtab in
@@ -61,40 +71,31 @@ let run ?(trace = false) ~grammar:(g : Grammar.t) (packed : Packed.t) cb
   let cold0 = ctrs.Profile.cold_probes in
   let t0 = if !Metrics.enabled then Trace.now_us () else 0. in
   let n = List.length tokens in
-  (* the parse stack; stack depth is bounded by the number of shifts,
-     so the initial capacity already fits any well-formed run *)
-  let cap = ref (max 16 (n + 1)) in
-  let scratch = Domain.DLS.get scratch_key in
-  let reusing = not scratch.busy in
-  if reusing then scratch.busy <- true;
+  (* the parse stack; its depth is bounded by the number of shifts, so
+     a capacity of [n + 1] fits any run *)
+  let scratch = cb.scratch in
+  let reusing = Atomic.compare_and_set scratch.busy false true in
+  let fits = reusing && Array.length scratch.st > n in
   let st_states =
-    ref
-      (if reusing && Array.length scratch.st >= !cap then begin
-         cap := Array.length scratch.st;
-         scratch.st
-       end
-       else Array.make !cap 0)
+    if fits then scratch.st else Array.make (max 16 (n + 1)) 0
   in
-  let st_values = ref [||] (* allocated on the first push *) in
+  (* a fresh value half is allocated on the first push, when a value
+     exists to fill it *)
+  let st_values = ref (if fits then scratch.sv else [||]) in
   let sp = ref 0 in
   let hw = ref 0 in
   let state = ref 0 in
   let steps = ref [] in
   let record s = if trace then steps := s :: !steps in
   let push s v =
-    if Array.length !st_values = 0 then st_values := Array.make !cap v
-    else if !sp = !cap then begin
-      let cap' = 2 * !cap in
-      let states' = Array.make cap' 0 in
-      Array.blit !st_states 0 states' 0 !sp;
-      let values' = Array.make cap' v in
+    (* only shifts push, one per token, so [!sp < n + 1 <=] the states'
+       capacity; the values get as much room once they are short *)
+    if Array.length !st_values <= !sp then begin
+      let values' = Array.make (Array.length st_states) v in
       Array.blit !st_values 0 values' 0 !sp;
-      st_states := states';
-      st_values := values';
-      cap := cap'
+      st_values := values'
     end;
-    (* [!sp < !cap] by the growth check just above *)
-    Array.unsafe_set !st_states !sp s;
+    Array.unsafe_set st_states !sp s;
     Array.unsafe_set !st_values !sp v;
     incr sp;
     if !sp > !hw then hw := !sp
@@ -199,7 +200,7 @@ let run ?(trace = false) ~grammar:(g : Grammar.t) (packed : Packed.t) cb
     Profile.record_production p.Grammar.id;
     (* [0 <= base < !sp]: the callers assert [0 < len <= !sp] *)
     let base = !sp - Array.length p.Grammar.rhs in
-    let exposed = Array.unsafe_get !st_states base in
+    let exposed = Array.unsafe_get st_states base in
     if trace then record (Sreduce p.Grammar.id);
     let v = cb.on_reduce p args in
     let target = Packed.goto packed exposed p.Grammar.lhs in
@@ -227,16 +228,23 @@ let run ?(trace = false) ~grammar:(g : Grammar.t) (packed : Packed.t) cb
       loop rest i a
   in
   ctrs.Profile.matcher_runs <- ctrs.Profile.matcher_runs + 1;
+  (* hand the (possibly grown) stack back to the scratch, also when the
+     run rejects *)
+  let release () =
+    if reusing then begin
+      scratch.st <- st_states;
+      scratch.sv <- !st_values;
+      Atomic.set scratch.busy false
+    end
+  in
   let value =
-    (* hand the (possibly grown) state array back to the scratch even
-       when the run rejects *)
-    Fun.protect
-      ~finally:(fun () ->
-        if reusing then begin
-          scratch.st <- !st_states;
-          scratch.busy <- false
-        end)
-      (fun () -> next tokens 0)
+    match next tokens 0 with
+    | v ->
+      release ();
+      v
+    | exception e ->
+      release ();
+      raise e
   in
   (* end-of-run histogram observations, gated so the hot loop stays
      allocation-free with telemetry off; rejects raise past this point

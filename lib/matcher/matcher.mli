@@ -10,14 +10,27 @@ open Import
     (paper section 5.2).  When the tables left a reduce/reduce tie to
     semantics, [choose] picks the production dynamically. *)
 
-type 'a callbacks = {
+(** The parse stack a set of callbacks keeps from one run to the next. *)
+type 'a scratch
+
+type 'a callbacks = private {
   on_shift : Termname.token -> 'a;
   on_reduce : Grammar.production -> 'a array -> 'a;
   choose : Grammar.production array -> 'a array list -> int;
       (** [choose candidates argss] returns the index of the production
           to reduce by; [argss] are the would-be argument arrays, in
           candidate order.  Only called for genuine ties. *)
+  scratch : 'a scratch;
 }
+
+(** Callbacks with a scratch stack of their own, reused by every run
+    that does not overlap another run on the same callbacks. *)
+val callbacks :
+  on_shift:(Termname.token -> 'a) ->
+  on_reduce:(Grammar.production -> 'a array -> 'a) ->
+  choose:(Grammar.production array -> 'a array list -> int) ->
+  unit ->
+  'a callbacks
 
 (** One parser action, for tracing (the paper's Appendix prints this
     sequence for [a := 27 + b]). *)
@@ -44,13 +57,13 @@ type 'a outcome = { value : 'a; trace : step list }
     machine description, not in the program being compiled.
 
     The loop is allocation-free per action: the parse stack is a pair
-    of preallocated arrays, each token is interned to its terminal id
-    once ({!Gg_grammar.Symtab.term_id}), the lookahead is carried across
-    consecutive reductions, and every table probe is a direct call into
-    {!Gg_tablegen.Packed}.  When the tables keep cold states and
-    {!Gg_profile.Metrics.enabled} is set, each completed run adds its
-    probes to the named counters [matcher.probe_hits_hot] and
-    [matcher.probe_hits_cold]. *)
+    of arrays kept in [callbacks] across runs, each token is interned
+    to its terminal id once ({!Gg_grammar.Symtab.term_id}), the
+    lookahead is carried across consecutive reductions, and every table
+    probe is a direct call into {!Gg_tablegen.Packed}.  When the tables
+    keep cold states and {!Gg_profile.Metrics.enabled} is set, each
+    completed run adds its probes to the named counters
+    [matcher.probe_hits_hot] and [matcher.probe_hits_cold]. *)
 val run :
   ?trace:bool ->
   grammar:Grammar.t ->

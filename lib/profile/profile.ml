@@ -215,7 +215,7 @@ let pp_counters ppf () =
   Fmt.pf ppf "counters:@.";
   List.iter (fun (k, v) -> Fmt.pf ppf "  %-28s %10d@." k v) (counter_list ())
 
-let report ppf () =
+let pp_phases ppf () =
   let ps = phases () in
   let total = List.fold_left (fun acc (_, t, _) -> acc +. t) 0. ps in
   if ps <> [] then begin
@@ -227,5 +227,8 @@ let report ppf () =
           calls)
       ps;
     Fmt.pf ppf "  %-20s %8.2f ms@." "total" (total *. 1e3)
-  end;
+  end
+
+let report ppf () =
+  pp_phases ppf ();
   pp_counters ppf ()

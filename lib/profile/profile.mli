@@ -113,8 +113,10 @@ val named_counters : unit -> (string * int) list
     [matcher.*] and [tables.*], then {!named_counters}. *)
 val counter_list : unit -> (string * int) list
 
-(** Render the phase aggregates (with shares of the timed total) and
-    {!counter_list}. *)
+(** Render the phase aggregates, with shares of the timed total. *)
+val pp_phases : Format.formatter -> unit -> unit
+
+(** {!pp_phases}, then {!pp_counters}. *)
 val report : Format.formatter -> unit -> unit
 
 (** {!counter_list} as the [counters:] table both reports print. *)

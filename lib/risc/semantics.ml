@@ -3,15 +3,23 @@ module S = Gg_codegen.Semantics
 
 (* The RISC semantic dispatchers.
 
-   The callback skeleton (shift/reduce/choose), the register manager,
-   the output buffer and the provenance bookkeeping are all the shared
-   {!Gg_codegen.Semantics} machinery; this module supplies only the two
-   target-specific dispatchers — the mode builder for the RISC's small
-   addressing repertoire and the Emit dispatcher that spells out
-   load/store instruction sequences — plus the operand mover the
-   register manager uses for spills and reloads. *)
+   The callback skeleton (shift/reduce/choose), the mode builder (the
+   RISC's addressing repertoire is a subset of the VAX's), the register
+   manager, the output buffer and the provenance bookkeeping are all the
+   shared {!Gg_codegen.Semantics} machinery; this module supplies only
+   the Emit dispatcher that spells out load/store instruction sequences,
+   with its resolution of the grammar's Emit keys, plus the operand
+   mover the register manager uses for spills and reloads. *)
 
-let sfx = Dtype.suffix
+(* [typed "ld"] spells [ldb], [ldw], [ldl], ... once, not per use *)
+let typed base =
+  let spelled = List.map (fun ty -> (ty, base ^ Dtype.suffix ty)) Dtype.all in
+  fun ty -> List.assq ty spelled
+
+let li = typed "li"
+let ld = typed "ld"
+let mv = typed "mv"
+let st = typed "st"
 
 (* -- the operand mover --------------------------------------------------- *)
 
@@ -24,73 +32,65 @@ let move ty ~(src : Mode.t) ~(dst : Mode.t) =
   | Mode.Reg _ ->
     let m =
       match src with
-      | Mode.Imm _ | Mode.Fimm _ -> "li"
-      | Mode.Mem _ -> "ld"
-      | Mode.Reg _ -> "mv"
+      | Mode.Imm _ | Mode.Fimm _ -> li ty
+      | Mode.Mem _ -> ld ty
+      | Mode.Reg _ -> mv ty
     in
-    [ Insn.insn (m ^ sfx ty) [ src; dst ] ]
+    [ Insn.insn m [ src; dst ] ]
   | Mode.Mem _ -> (
     match src with
-    | Mode.Reg _ -> [ Insn.insn ("st" ^ sfx ty) [ src; dst ] ]
+    | Mode.Reg _ -> [ Insn.insn (st ty) [ src; dst ] ]
     | _ ->
       Fmt.failwith "risc mover: store source %s is not a register"
         (Mode.assembly src))
   | Mode.Imm _ | Mode.Fimm _ ->
     Fmt.failwith "risc mover: immediate destination"
 
-(* -- the mode builder ----------------------------------------------------- *)
-
-let compose_mem t ~owned ty operand =
-  Regmgr.compose (S.regmgr t) (Desc.make ~owned ty operand)
-
-let build_mode t g name (p : Grammar.production) (args : Desc.sval array) :
-    Desc.sval =
-  let ty () =
-    match S.lhs_type g p with
-    | Some ty -> ty
-    | None -> Fmt.failwith "mode %s on untyped non-terminal" name
-  in
-  let as_reg i =
-    let d = Regmgr.as_register (S.regmgr t) (Desc.desc args.(i)) in
-    match d.Desc.operand with
-    | Mode.Reg r -> (r, d)
-    | _ -> assert false
-  in
-  match (name, args) with
-  | "imm", [| Node (Tree.Const (cty, n)) |] ->
-    Desc.D (Desc.make cty (Mode.Imm n))
-  | "name", [| Node (Tree.Name (nty, s)) |] ->
-    Desc.D (Desc.make nty (Mode.mem_sym s))
-  | "temp", [| Node (Tree.Temp (tty, i)) |] ->
-    Desc.D (Desc.make tty (Frame.temp_mode (S.frame t) i tty))
-  | "dreg", [| Node (Tree.Dreg (rty, r)) |] ->
-    Desc.D (Desc.make rty (Mode.Reg r))
-  | "indir", [| Node (Tree.Indir (ity, _)); D ea |] ->
-    Desc.D (compose_mem t ~owned:ea.Desc.owned ity ea.Desc.operand)
-  | "deferred", [| D _ |] ->
-    let r, d = as_reg 0 in
-    Desc.D (compose_mem t ~owned:d.Desc.owned (ty ()) (Mode.mem_deferred r))
-  | "absolute", [| Node (Tree.Const (_, n)) |] ->
-    Desc.D
-      (Desc.make (ty ())
-         (Mode.Mem
-            { base = None; sym = None; disp = n; index = None; auto = None }))
-  | "disp", [| Node _; Node (Tree.Const (_, d)); D _ |] ->
-    let r, rd = as_reg 2 in
-    Desc.D (compose_mem t ~owned:rd.Desc.owned (ty ()) (Mode.mem_disp d r))
-  | "symdisp", [| Node _; Node _; Node (Tree.Name (_, s)); D _ |] ->
-    let r, rd = as_reg 3 in
-    Desc.D
-      (compose_mem t ~owned:rd.Desc.owned (ty ()) (Mode.mem_disp ~sym:s 0L r))
-  | _, _ ->
-    Fmt.failwith "mode builder %s: unexpected production %s <- ... (%d args)"
-      name
-      (Symtab.nonterm_name g.Grammar.symtab p.lhs)
-      (Array.length args)
-
 (* -- the Emit dispatcher -------------------------------------------------- *)
 
-let emit_insn t _g key (_p : Grammar.production) (args : Desc.sval array) :
+type kind =
+  | Li
+  | Ld
+  | Ldinc
+  | Lddec
+  | St
+  | St_r
+  | Stinc
+  | Stdec
+  | Unary
+  | Cvt
+  | Cmpbr
+  | Push
+  | La
+  | Other
+
+(* [mn] is the one mnemonic the production prints, spelled once here:
+   [addl] for ["add.l"], [cvtbl] for ["cvt.bl"], [cmpl] for
+   ["cmpbr.l"], [stl] for ["push.l"] *)
+type emit = { kind : kind; mn : string }
+
+let resolve_emit ~key:_ ~base ~suffix =
+  let spell b = b ^ Option.value suffix ~default:"" in
+  match base with
+  | "li" -> { kind = Li; mn = "" }
+  | "ld" -> { kind = Ld; mn = "" }
+  | "ldinc" -> { kind = Ldinc; mn = "" }
+  | "lddec" -> { kind = Lddec; mn = "" }
+  | "st" -> { kind = St; mn = "" }
+  | "st_r" -> { kind = St_r; mn = "" }
+  | "stinc" -> { kind = Stinc; mn = "" }
+  | "stdec" -> { kind = Stdec; mn = "" }
+  | "neg" | "not" -> { kind = Unary; mn = spell base }
+  | "cvt" -> { kind = Cvt; mn = spell "cvt" }
+  | "cmpbr" -> { kind = Cmpbr; mn = spell "cmp" }
+  | "push" -> { kind = Push; mn = spell "st" }
+  | "la" -> { kind = La; mn = "la" }
+  | _ -> { kind = Other; mn = spell base }
+
+let resolution = Grammar.derive (S.resolve ~emit:resolve_emit)
+let actions g = Grammar.derived g resolution
+
+let emit_insn t _g (r : emit S.resolved) (e : emit) (args : Desc.sval array) :
     Desc.sval =
   let regs = S.regmgr t in
   let emit i = S.emit t i in
@@ -102,43 +102,35 @@ let emit_insn t _g key (_p : Grammar.production) (args : Desc.sval array) :
     | Mode.Imm _ | Mode.Fimm _ -> d
     | _ -> as_register d
   in
-  let base, suffix = S.parse_key key in
-  let ty_of_suffix () =
-    match suffix with
-    | Some s -> (
-      match Dtype.of_suffix s with
-      | Some ty -> ty
-      | None -> Fmt.failwith "emit key %s: bad type suffix" key)
-    | None -> Fmt.failwith "emit key %s: missing type suffix" key
-  in
-  match (base, args) with
+  let ty_of_suffix () = S.ty_of_suffix r in
+  match (e.kind, args) with
   (* ---- loads into registers ---- *)
-  | "li", [| Node (Tree.Fconst (fty, f)) |] ->
+  | Li, [| Node (Tree.Fconst (fty, f)) |] ->
     let d = Regmgr.alloc regs fty in
-    emit (Insn.insn ("li" ^ sfx fty) [ Mode.Fimm f; d.Desc.operand ]);
+    emit (Insn.insn (li fty) [ Mode.Fimm f; d.Desc.operand ]);
     Desc.D d
-  | "ld", [| D src |] ->
+  | Ld, [| D src |] ->
     release src;
     let ty = ty_of_suffix () in
     let d = Regmgr.alloc regs ty in
     List.iter emit (move ty ~src:src.Desc.operand ~dst:d.Desc.operand);
     Desc.D d
-  | "ldinc", [| Node (Tree.Autoinc (aty, r)) |] ->
+  | Ldinc, [| Node (Tree.Autoinc (aty, r)) |] ->
     let d = Regmgr.alloc regs aty in
-    emit (Insn.insn ("ld" ^ sfx aty) [ Mode.mem_deferred r; d.Desc.operand ]);
+    emit (Insn.insn (ld aty) [ Mode.mem_deferred r; d.Desc.operand ]);
     emit
       (Insn.insn "addl"
          [ Mode.Reg r; Mode.Imm (Int64.of_int (Dtype.size aty)); Mode.Reg r ]);
     Desc.D d
-  | "lddec", [| Node (Tree.Autodec (aty, r)) |] ->
+  | Lddec, [| Node (Tree.Autodec (aty, r)) |] ->
     emit
       (Insn.insn "subl"
          [ Mode.Reg r; Mode.Imm (Int64.of_int (Dtype.size aty)); Mode.Reg r ]);
     let d = Regmgr.alloc regs aty in
-    emit (Insn.insn ("ld" ^ sfx aty) [ Mode.mem_deferred r; d.Desc.operand ]);
+    emit (Insn.insn (ld aty) [ Mode.mem_deferred r; d.Desc.operand ]);
     Desc.D d
   (* ---- stores ---- *)
-  | "st", [| Node _; D dst; D src |] | "st_r", [| Node _; D src; D dst |] ->
+  | St, [| Node _; D dst; D src |] | St_r, [| Node _; D src; D dst |] ->
     let ty = ty_of_suffix () in
     let src =
       match dst.Desc.operand with
@@ -149,63 +141,59 @@ let emit_insn t _g key (_p : Grammar.production) (args : Desc.sval array) :
     release src;
     release dst;
     Desc.Done
-  | "stinc", [| Node _; Node (Tree.Autoinc (aty, r)); D src |]
-  | "stinc", [| Node _; D src; Node (Tree.Autoinc (aty, r)) |] ->
+  | Stinc, [| Node _; Node (Tree.Autoinc (aty, r)); D src |]
+  | Stinc, [| Node _; D src; Node (Tree.Autoinc (aty, r)) |] ->
     let src = as_register src in
-    emit (Insn.insn ("st" ^ sfx aty) [ src.Desc.operand; Mode.mem_deferred r ]);
+    emit (Insn.insn (st aty) [ src.Desc.operand; Mode.mem_deferred r ]);
     emit
       (Insn.insn "addl"
          [ Mode.Reg r; Mode.Imm (Int64.of_int (Dtype.size aty)); Mode.Reg r ]);
     release src;
     Desc.Done
-  | "stdec", [| Node _; Node (Tree.Autodec (aty, r)); D src |]
-  | "stdec", [| Node _; D src; Node (Tree.Autodec (aty, r)) |] ->
+  | Stdec, [| Node _; Node (Tree.Autodec (aty, r)); D src |]
+  | Stdec, [| Node _; D src; Node (Tree.Autodec (aty, r)) |] ->
     let src = as_register src in
     emit
       (Insn.insn "subl"
          [ Mode.Reg r; Mode.Imm (Int64.of_int (Dtype.size aty)); Mode.Reg r ]);
-    emit (Insn.insn ("st" ^ sfx aty) [ src.Desc.operand; Mode.mem_deferred r ]);
+    emit (Insn.insn (st aty) [ src.Desc.operand; Mode.mem_deferred r ]);
     release src;
     Desc.Done
   (* ---- unary operators ---- *)
-  | ("neg" | "not"), [| Node _; D src |] ->
+  | Unary, [| Node _; D src |] ->
     let src = as_register src in
     release src;
     let ty = ty_of_suffix () in
     let d = Regmgr.alloc regs ty in
-    emit (Insn.insn (base ^ sfx ty) [ src.Desc.operand; d.Desc.operand ]);
+    emit (Insn.insn e.mn [ src.Desc.operand; d.Desc.operand ]);
     Desc.D d
   (* ---- conversions ---- *)
-  | "cvt", [| Node _; D src |] ->
+  | Cvt, [| Node _; D src |] ->
     let src = as_register src in
     release src;
     let to_ty =
-      match suffix with
-      | Some s when String.length s = 2 ->
-        Option.get (Dtype.of_suffix (String.make 1 s.[1]))
-      | _ -> Fmt.failwith "cvt key %s" key
+      match r.S.sfx with
+      | Some ty -> ty
+      | None -> Fmt.failwith "cvt key %s" (S.key r)
     in
     let d = Regmgr.alloc regs to_ty in
-    emit
-      (Insn.insn ("cvt" ^ Option.get suffix)
-         [ src.Desc.operand; d.Desc.operand ]);
+    emit (Insn.insn e.mn [ src.Desc.operand; d.Desc.operand ]);
     Desc.D d
   (* ---- compare and branch ---- *)
-  | "cmpbr", [| Node cb; Node _; D a; D b; Node _ |] ->
+  | Cmpbr, [| Node cb; Node _; D a; D b; Node _ |] ->
     let rel, sg, bty, label = S.branch_of_node cb in
     let a = as_register a in
     Regmgr.pin regs a;
     let b = as_source b in
     Regmgr.unpin regs a;
-    emit
-      (Insn.insn ("cmp" ^ sfx (ty_of_suffix ()))
-         [ a.Desc.operand; b.Desc.operand ]);
+    ignore (ty_of_suffix () : Dtype.t);
+    emit (Insn.insn e.mn [ a.Desc.operand; b.Desc.operand ]);
     release a;
     release b;
     emit (Insn.Branch (Insn_table.bcc rel sg bty, label));
     Desc.Done
   (* ---- argument pushes ---- *)
-  | "push", [| Node _; D v |] ->
+  | Push, [| Node _; D v |] ->
     let ty = ty_of_suffix () in
     let v = as_register v in
     emit
@@ -215,13 +203,11 @@ let emit_insn t _g key (_p : Grammar.production) (args : Desc.sval array) :
            Mode.Imm (Int64.of_int (Dtype.size ty));
            Mode.Reg Regconv.sp;
          ]);
-    emit
-      (Insn.insn ("st" ^ sfx ty)
-         [ v.Desc.operand; Mode.mem_deferred Regconv.sp ]);
+    emit (Insn.insn e.mn [ v.Desc.operand; Mode.mem_deferred Regconv.sp ]);
     release v;
     Desc.Done
   (* ---- address-of ---- *)
-  | "la", [| Node _; Node leaf |] ->
+  | La, [| Node _; Node leaf |] ->
     let operand =
       match leaf with
       | Tree.Name (_, s) -> Mode.mem_sym s
@@ -231,7 +217,7 @@ let emit_insn t _g key (_p : Grammar.production) (args : Desc.sval array) :
     let d = Regmgr.alloc regs Dtype.Long in
     emit (Insn.insn "la" [ operand; d.Desc.operand ]);
     Desc.D d
-  | "la", [| Node _; Node _; D ea |] ->
+  | La, [| Node _; Node _; D ea |] ->
     release ea;
     let d = Regmgr.alloc regs Dtype.Long in
     emit (Insn.insn "la" [ ea.Desc.operand; d.Desc.operand ]);
@@ -251,14 +237,13 @@ let emit_insn t _g key (_p : Grammar.production) (args : Desc.sval array) :
     release s1;
     release s2;
     let d = Regmgr.alloc regs ty in
-    emit
-      (Insn.insn (base ^ sfx ty)
-         [ s1.Desc.operand; s2.Desc.operand; d.Desc.operand ]);
+    emit (Insn.insn e.mn [ s1.Desc.operand; s2.Desc.operand; d.Desc.operand ]);
     Desc.D d
   | _, _ ->
-    Fmt.failwith "emit %s: unexpected production shape (%d args)" key
+    Fmt.failwith "emit %s: unexpected production shape (%d args)" (S.key r)
       (Array.length args)
 
 (* -- matcher callbacks ---------------------------------------------------- *)
 
-let callbacks t g = S.make_callbacks t ~mode:build_mode ~emit:emit_insn g
+let callbacks t g =
+  S.make_callbacks t ~mode:S.build_mode ~emit:emit_insn g (actions g)

@@ -34,6 +34,10 @@ type options = {
 
 val default : options
 
+(** The instruction-table cluster base of a binary operator, reverse
+    operators by their forward one: [Rminus] -> ["sub"]. *)
+val cluster_of_binop : Op.binop -> string
+
 (** The generic (pre-replication) schemas; their count is the paper's
     "458 productions before type replication" statistic. *)
 val schemas : options -> Schema.t list

@@ -6,6 +6,8 @@ type entry = {
   binding : bool;
   commutes : bool;
   range : string option;
+  swapped : bool;
+  sfx : string;
 }
 
 type cluster = entry list
@@ -31,8 +33,31 @@ let range_apply key sfx operand =
   | "$cmp", Some 0L -> Some ("tst" ^ sfx)
   | _, _ -> None
 
+(* VAX spells "dif = min - sub" as [sub3 sub,min,dif] and division
+   likewise, so the two sources swap in the assembly for those rows. *)
+let swaps print =
+  String.length print >= 3
+  && match String.sub print 0 3 with "sub" | "div" -> true | _ -> false
+
+(* the type suffix of a mnemonic like "addl2" or "movb" *)
+let suffix_of print =
+  let n = String.length print in
+  let c =
+    if n > 1 && (print.[n - 1] = '2' || print.[n - 1] = '3') then print.[n - 2]
+    else print.[n - 1]
+  in
+  String.make 1 c
+
 let entry ?(binding = false) ?(commutes = false) ?range print nops =
-  { print; nops; binding; commutes; range }
+  {
+    print;
+    nops;
+    binding;
+    commutes;
+    range;
+    swapped = swaps print;
+    sfx = suffix_of print;
+  }
 
 (* Split "add.l" into ("add", Long). *)
 let parse_key key =

@@ -18,6 +18,10 @@ type entry = {
   binding : bool;  (** a source equal to the destination steps down *)
   commutes : bool;  (** the paper's "<->": either source may bind *)
   range : string option;  (** range-idiom key that steps down *)
+  swapped : bool;
+      (** the two sources print in reverse order: [subl3 sub,min,dif]
+          computes [min - sub], and [divl3] likewise *)
+  sfx : string;  (** the mnemonic's type suffix, ["l"] for [addl3] *)
 }
 
 type cluster = entry list

@@ -315,8 +315,202 @@ int main() {
        { Gg_vax.Grammar_def.default with
          Gg_vax.Grammar_def.condition_code_fix = false })
 
+(* -- semantic actions resolved per production ------------------------------ *)
+
+module Semantics = Gg_codegen.Semantics
+module Grammar = Gg_grammar.Grammar
+module Action = Gg_grammar.Action
+module Symtab = Gg_grammar.Symtab
+module Insn_table = Gg_vax.Insn_table
+module Vax_def = Gg_vax.Grammar_def
+module Risc_sem = Gg_risc.Semantics
+
+(* The string path the resolution replaced, kept as the oracle: split a
+   key at its last '.', read a type from the suffix, look the cluster up
+   by key. *)
+let split_key key =
+  match String.rindex_opt key '.' with
+  | None -> (key, None)
+  | Some i ->
+    ( String.sub key 0 i,
+      Some (String.sub key (i + 1) (String.length key - i - 1)) )
+
+let lhs_type g (p : Grammar.production) =
+  Option.bind
+    (snd (split_key (Symtab.nonterm_name g.Grammar.symtab p.Grammar.lhs)))
+    Dtype.of_suffix
+
+(* a conversion key's suffix names source and result: the result *)
+let suffix_type base suffix =
+  match (base, suffix) with
+  | "cvt", Some s when String.length s = 2 ->
+    Dtype.of_suffix (String.make 1 s.[1])
+  | "cvt", _ -> None
+  | _, s -> Option.bind s Dtype.of_suffix
+
+let mode_names =
+  Semantics.
+    [
+      ("imm", Imm); ("fimm", Fimm); ("name", Name); ("temp", Temp);
+      ("dreg", Dreg); ("autoinc", Autoinc); ("autodec", Autodec);
+      ("indir", Indir); ("deferred", Deferred); ("absolute", Absolute);
+      ("disp", Disp); ("symdisp", Symdisp); ("index", Index);
+      ("dispindex", Dispindex); ("symindex", Symindex);
+    ]
+
+(* every resolved entry against the string path; [emit] checks the
+   target's own payload *)
+let check_resolution name g (actions : 'e Semantics.resolved array) emit =
+  Alcotest.(check int) (name ^ ": one entry per production")
+    (Grammar.n_productions g) (Array.length actions);
+  Array.iteri
+    (fun id (r : 'e Semantics.resolved) ->
+      let p = Grammar.production g id in
+      let what = Fmt.str "%s p%d %a" name id (Grammar.pp_production g) p in
+      Alcotest.(check bool) (what ^ ": production") true (r.Semantics.prod == p);
+      Alcotest.(check (option string)) (what ^ ": lhs type")
+        (Option.map Dtype.suffix (lhs_type g p))
+        (Option.map Dtype.suffix r.Semantics.lhs);
+      match (p.Grammar.action, r.Semantics.action) with
+      | (Action.Chain | Action.Start), Semantics.Pass -> ()
+      | Action.Mode m, Semantics.Mode mode ->
+        Alcotest.(check string) (what ^ ": base") m r.Semantics.base;
+        Alcotest.(check bool) (what ^ ": mode") true
+          (List.assoc_opt m mode_names = Some mode)
+      | Action.Emit key, Semantics.Emit e ->
+        let base, suffix = split_key key in
+        Alcotest.(check string) (what ^ ": base") base r.Semantics.base;
+        Alcotest.(check (option string)) (what ^ ": suffix type")
+          (Option.map Dtype.suffix (suffix_type base suffix))
+          (Option.map Dtype.suffix r.Semantics.sfx);
+        emit what key base suffix e
+      | _, _ -> Alcotest.failf "%s: action resolved to another kind" what)
+    actions
+
+let vax_emit what key base suffix (e : Semantics.vax_emit) =
+  let same_cluster what want got =
+    Alcotest.(check bool) (what ^ ": cluster rows") true (want = got)
+  in
+  same_cluster what (Insn_table.find key) e.Semantics.cluster;
+  match e.Semantics.kind with
+  | Semantics.Class impls ->
+    Alcotest.(check string) (what ^ ": class base") "class" base;
+    let sfx = Option.get suffix in
+    List.iter
+      (fun (op, impl) ->
+        let op_key = Vax_def.cluster_of_binop op ^ "." ^ sfx in
+        match (Insn_table.find op_key, impl) with
+        | Some c, Semantics.Cluster c' -> same_cluster (what ^ " " ^ op_key) c c'
+        | Some [ row ], Semantics.Pseudo _ ->
+          Alcotest.(check char) (what ^ ": pseudo row") '_'
+            row.Insn_table.print.[0]
+        | _ -> Alcotest.failf "%s: %s resolved apart from the table" what op_key)
+      impls;
+    (* Plus, Mul, Or and Xor are the class's members *)
+    List.iter
+      (fun op ->
+        Alcotest.(check bool) (what ^ ": class member") true
+          (List.mem_assq op impls))
+      [ Op.Plus; Op.Mul; Op.Or; Op.Xor ]
+  | _ -> (
+    match (e.Semantics.cluster, e.Semantics.impl) with
+    | None, None -> ()
+    | Some (row :: _), Some (Semantics.Pseudo _) ->
+      Alcotest.(check char) (what ^ ": pseudo row") '_' row.Insn_table.print.[0]
+    | Some c, Some (Semantics.Cluster c') -> same_cluster what c c'
+    | _ -> Alcotest.failf "%s: binary-operator form apart from the cluster" what)
+
+let risc_emit what _key base suffix (e : Risc_sem.emit) =
+  let spelled b = b ^ Option.value suffix ~default:"" in
+  let want =
+    match base with
+    | "neg" | "not" -> spelled base
+    | "cvt" -> spelled "cvt"
+    | "cmpbr" -> spelled "cmp"
+    | "push" -> spelled "st"
+    | "la" -> "la"
+    | "li" | "ld" | "ldinc" | "lddec" | "st" | "st_r" | "stinc" | "stdec" -> ""
+    | _ -> spelled base
+  in
+  Alcotest.(check string) (what ^ ": mnemonic") want e.Risc_sem.mn
+
+let test_resolution_agrees_with_keys () =
+  let vax o = Vax_def.grammar o in
+  List.iter
+    (fun (name, g) -> check_resolution name g (Semantics.actions g) vax_emit)
+    [
+      ("vax", Lazy.force Vax_def.default_grammar);
+      ("vax no-bridges", vax { Vax_def.default with Vax_def.with_bridges = false });
+      ("vax no-reverse", vax { Vax_def.default with Vax_def.reverse_ops = false });
+      ("vax overfactored", vax { Vax_def.default with Vax_def.overfactored = true });
+      ( "vax no-cc-fix",
+        vax { Vax_def.default with Vax_def.condition_code_fix = false } );
+    ];
+  List.iter
+    (fun (name, g) -> check_resolution name g (Risc_sem.actions g) risc_emit)
+    [
+      ("risc", Lazy.force Gg_risc.Grammar_def.default_grammar);
+      ( "risc no-reverse",
+        Gg_risc.Grammar_def.grammar
+          { Vax_def.default with Vax_def.reverse_ops = false } );
+    ];
+  (* one resolution per grammar, even when domains race to build it *)
+  let g = vax Vax_def.default in
+  let others =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> Semantics.actions g))
+    |> List.map Domain.join
+  in
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) "the same resolution in every domain" true
+        (a == Semantics.actions g))
+    others
+
+(* A key with no cluster or a bad type suffix resolves without complaint
+   and fails when a reduction uses it, with the message the string path
+   gave. *)
+let test_unknown_key_fails_at_reduction () =
+  let renamed ~from ~into =
+    let specs =
+      Gg_grammar.Schema.expand_all (Vax_def.schemas Vax_def.default)
+      |> List.map (fun (lhs, rhs, action, note) ->
+             let action =
+               if Action.equal action (Action.Emit from) then Action.Emit into
+               else action
+             in
+             (lhs, rhs, action, note))
+    in
+    let g = Grammar.make_exn ~start:"stmt" specs in
+    ignore (Semantics.actions g : _ array);
+    {
+      Driver.grammar = g;
+      packed = Gg_tablegen.Cache.build g;
+      backend = Gg_codegen.Backend.vax;
+    }
+  in
+  let prog =
+    Gg_frontc.Sema.compile
+      "int a; int b; int c; int main() { a = b + c; print(a); return 0; }"
+  in
+  List.iter
+    (fun (into, want) ->
+      let tables = renamed ~from:"add.l" ~into in
+      match Driver.compile_program ~tables prog with
+      | _ -> Alcotest.failf "%s compiled" into
+      | exception (Invalid_argument m | Failure m) ->
+        Alcotest.(check string) into want m)
+    [
+      ("zap.l", "Insn_table.find_exn: unknown cluster zap.l");
+      ("add.x", "emit key add.x: bad type suffix");
+    ]
+
 let suite =
   [
+    Alcotest.test_case
+      "resolved actions agree with the key strings, every grammar variant"
+      `Quick test_resolution_agrees_with_keys;
+    Alcotest.test_case "an unknown key fails at reduction time" `Quick
+      test_unknown_key_fails_at_reduction;
     Alcotest.test_case "appendix assembly" `Quick test_appendix_assembly;
     Alcotest.test_case "appendix trace" `Quick test_appendix_trace_shape;
     Alcotest.test_case "three-address add" `Quick test_add_three_address;

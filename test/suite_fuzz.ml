@@ -88,11 +88,11 @@ let dense_tables = lazy (Tables.build (Lazy.force vax_grammar))
 let packed_tables = lazy (Packed.pack (Lazy.force dense_tables))
 
 let null_cb : unit Matcher.callbacks =
-  {
-    Matcher.on_shift = (fun _ -> ());
-    on_reduce = (fun _ _ -> ());
-    choose = (fun _ _ -> 0);
-  }
+  Matcher.callbacks
+    ~on_shift:(fun _ -> ())
+    ~on_reduce:(fun _ _ -> ())
+    ~choose:(fun _ _ -> 0)
+    ()
 
 (* matcher-ready statement trees of one fuzzed program *)
 let fuzzed_trees seed =

@@ -35,6 +35,61 @@ let test_symtab_find () =
   | None -> ()
   | Some _ -> Alcotest.fail "found a symbol never interned"
 
+(* Every terminal of both targets owns a slot of [term_id]'s cache, so a
+   token name is recognised by pointer after its first lookup rather than
+   evicting another terminal's entry; and [term_id] agrees with [find]
+   for every name, asked of either grammar in an interleaved order, with
+   the interned strings, fresh copies of them and names of no terminal. *)
+let test_term_cache_pointer_exact () =
+  let grammars =
+    [
+      ("vax", Lazy.force Gg_vax.Grammar_def.default_grammar);
+      ("risc", Lazy.force Gg_risc.Grammar_def.default_grammar);
+    ]
+  in
+  List.iter
+    (fun (name, (g : Grammar.t)) ->
+      let st = g.Grammar.symtab in
+      let n = Symtab.n_terms st in
+      let slots = List.init n (Symtab.term_slot st) in
+      check_int (name ^ ": terminals with a slot of their own") n
+        (List.length (List.sort_uniq compare slots)))
+    grammars;
+  let symtabs = List.map (fun (_, (g : Grammar.t)) -> g.Grammar.symtab) grammars in
+  let most f = List.fold_left (fun m st -> max m (f st)) 0 symtabs in
+  let names =
+    List.concat
+      (List.init (most Symtab.n_terms) (fun i ->
+           List.concat_map
+             (fun st ->
+               let term =
+                 if i < Symtab.n_terms st then [ Symtab.term_name st i ] else []
+               in
+               let nonterm =
+                 if i < Symtab.n_nonterms st then [ Symtab.nonterm_name st i ]
+                 else []
+               in
+               term
+               @ List.map (fun s -> String.sub s 0 (String.length s)) term
+               @ nonterm
+               @ [ Printf.sprintf "Unknown.%d" i ])
+             symtabs))
+  in
+  for pass = 1 to 2 do
+    List.iter
+      (fun s ->
+        List.iter2
+          (fun (gname, _) st ->
+            let want =
+              match Symtab.find st s with Some (Symtab.T i) -> i | _ -> -1
+            in
+            check_int
+              (Printf.sprintf "pass %d, %s: term_id %S" pass gname s)
+              want (Symtab.term_id st s))
+          grammars symtabs)
+      names
+  done
+
 (* -- Schema --------------------------------------------------------------- *)
 
 let test_subst () =
@@ -234,6 +289,9 @@ let suite =
   [
     Alcotest.test_case "symtab classification" `Quick test_symtab_classification;
     Alcotest.test_case "symtab find" `Quick test_symtab_find;
+    Alcotest.test_case
+      "symtab: term_id is pointer-exact, one cache slot per terminal"
+      `Quick test_term_cache_pointer_exact;
     Alcotest.test_case "subst" `Quick test_subst;
     Alcotest.test_case "scale tokens" `Quick test_scale_tokens;
     Alcotest.test_case "typed expansion" `Quick test_typed_expansion;

@@ -21,11 +21,11 @@ let dense = lazy (Tables.build (Lazy.force vax_grammar))
 let packed = lazy (Packed.pack (Lazy.force dense))
 
 let null_cb : unit Matcher.callbacks =
-  {
-    Matcher.on_shift = (fun _ -> ());
-    on_reduce = (fun _ _ -> ());
-    choose = (fun _ _ -> 0);
-  }
+  Matcher.callbacks
+    ~on_shift:(fun _ -> ())
+    ~on_reduce:(fun _ _ -> ())
+    ~choose:(fun _ _ -> 0)
+    ()
 
 (* every matcher-ready statement tree of a compiled program *)
 let stmt_trees prog =

@@ -610,6 +610,92 @@ let test_golden_colored_output () =
         (counter "codegen.reloads_total"))
     Targets.all
 
+(* -- golden stack-allocator and --explain output ------------------------- *)
+
+(* The matcher and the semantic dispatchers are pinned like the colorer:
+   MD5s of the stack allocator's assembly and of the --explain listing
+   (whose provenance comments name every production reduced, chain rules
+   included) over corpus seeds 0..99 and examples/c, plus the exact
+   number of chain-rule ids in that provenance.  Recorded before the
+   dispatchers resolved their actions per production; regenerate only
+   for an intended change of output. *)
+
+let example_sources () =
+  let dir = List.find Sys.file_exists [ "../examples/c"; "examples/c" ] in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".c")
+  |> List.sort compare
+  |> List.map (fun f ->
+         In_channel.with_open_text (Filename.concat dir f) In_channel.input_all)
+
+let stack_golden_sources =
+  lazy
+    (List.init 100 (fun seed ->
+         Corpus.random_source ~seed ~functions:(1 + (seed mod 3))
+           ~stmts_per_function:(10 + (seed mod 15)))
+    @ example_sources ())
+
+(* (assembly MD5, --explain MD5, chain ids in provenance) per target *)
+let stack_golden_expected =
+  [
+    ( "vax",
+      ( "07d0b1c436bfc32ce55ed0d8b2607094",
+        "ed7219f46acfe7e3b477ed05dfcb9d7c",
+        96710 ) );
+    ( "risc",
+      ( "15864ff5fe75010c625e0445ba486c01",
+        "0fea74de1b5dc208d37e7ea5800e68f5",
+        61831 ) );
+  ]
+
+let test_golden_stack_and_explain () =
+  List.iter
+    (fun target ->
+      let tname = Targets.name target in
+      let want_asm, want_explain, want_chains =
+        match List.assoc_opt tname stack_golden_expected with
+        | Some e -> e
+        | None -> Alcotest.failf "no golden digests for %s" tname
+      in
+      let tables = Targets.default_tables target in
+      let g = tables.Driver.grammar in
+      let progs = List.map Sema.compile (Lazy.force stack_golden_sources) in
+      let plain =
+        List.map
+          (fun p -> (Driver.compile_program ~tables ~jobs:1 p).Driver.assembly)
+          progs
+      in
+      Gg_profile.Profile.provenance_enabled := true;
+      let outs =
+        Fun.protect
+          ~finally:(fun () -> Gg_profile.Profile.provenance_enabled := false)
+          (fun () -> List.map (Driver.compile_program ~tables ~jobs:1) progs)
+      in
+      let explained = List.map (Driver.render_explained tables) outs in
+      let chains =
+        List.fold_left
+          (fun acc (cf : Driver.compiled_func) ->
+            List.fold_left
+              (fun acc (_, pids, _) ->
+                acc
+                + List.length
+                    (List.filter
+                       (fun id ->
+                         (Gg_grammar.Grammar.production g id).action
+                         = Gg_grammar.Action.Chain)
+                       pids))
+              acc cf.Driver.cf_prov)
+          0
+          (List.concat_map (fun o -> o.Driver.funcs) outs)
+      in
+      let md5 parts = Digest.to_hex (Digest.string (String.concat "" parts)) in
+      Alcotest.(check string) (tname ^ ": stack assembly") want_asm (md5 plain);
+      Alcotest.(check string) (tname ^ ": --explain listing") want_explain
+        (md5 explained);
+      Alcotest.(check int) (tname ^ ": chain ids in provenance") want_chains
+        chains)
+    Targets.all
+
 (* one stack and one color engine per target: any observable
    disagreement between the allocators fails through the shared
    interpreter reference *)
@@ -844,6 +930,9 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false prop_stack_color_parity;
     Alcotest.test_case "golden: colored assembly and spill counts pinned"
       `Quick test_golden_colored_output;
+    Alcotest.test_case
+      "golden: stack assembly and --explain provenance pinned, both targets"
+      `Quick test_golden_stack_and_explain;
     Alcotest.test_case "bits: full, last-only and empty sets at word edges"
       `Quick test_bits_edges;
     QCheck_alcotest.to_alcotest ~long:false prop_bits_model;

@@ -27,11 +27,11 @@ let dense = lazy (Tables.build (Lazy.force vax_grammar))
 let packed = lazy (Packed.pack (Lazy.force dense))
 
 let null_cb : unit Matcher.callbacks =
-  {
-    Matcher.on_shift = (fun _ -> ());
-    on_reduce = (fun _ _ -> ());
-    choose = (fun _ _ -> 0);
-  }
+  Matcher.callbacks
+    ~on_shift:(fun _ -> ())
+    ~on_reduce:(fun _ _ -> ())
+    ~choose:(fun _ _ -> 0)
+    ()
 
 let stmt_trees prog =
   List.concat_map

@@ -845,6 +845,50 @@ let test_mdgtool_heat_matches_profile () =
         fired)
     Gg_targets.Targets.all
 
+(* -- the command-line wrapper ------------------------------------------------ *)
+
+let count_lines prefix text =
+  List.length
+    (List.filter
+       (fun l ->
+         String.length l >= String.length prefix
+         && String.sub l 0 (String.length prefix) = prefix)
+       (String.split_on_char '\n' text))
+
+(* --profile and --metrics together print the counters table once; the
+   metrics sidecar is written even when the wrapped run raises (ggcc and
+   ggfuzz share this wrapper) *)
+let test_telemetry_wrapper () =
+  all_off ();
+  let out = Filename.temp_file "ggcg-wrapper" ".json" in
+  Sys.remove out;
+  Fun.protect ~finally:(fun () ->
+      all_off ();
+      try Sys.remove out with Sys_error _ -> ())
+  @@ fun () ->
+  (match
+     Gg_profile.Telemetry.with_telemetry ~metrics_out:out (fun () ->
+         ignore (compile_corpus () : Driver.output list);
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "the wrapped run returned"
+  | exception Failure m -> Alcotest.(check string) "the failure passes" "boom" m);
+  Alcotest.(check bool) "sidecar written on raise" true (Sys.file_exists out);
+  let doc = In_channel.with_open_text out In_channel.input_all in
+  (match Gg_profile.Json.parse doc with
+  | _ -> ()
+  | exception Gg_profile.Json.Parse_error m -> Alcotest.failf "sidecar: %s" m);
+  List.iter
+    (fun (profile, metrics, want) ->
+      let text =
+        Fmt.str "%a" (Gg_profile.Telemetry.report ~profile ~metrics) ()
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "counters tables (profile %b, metrics %b)" profile
+           metrics)
+        want (count_lines "counters:" text))
+    [ (true, true, 1); (true, false, 1); (false, true, 1); (false, false, 0) ]
+
 let suite =
   [
     Alcotest.test_case "profile report: 0%%, not nan, on empty timers" `Quick
@@ -893,4 +937,7 @@ let suite =
       test_assembly_unchanged_by_telemetry;
     Alcotest.test_case "mdgtool heat counts what heat_profile counts" `Quick
       test_mdgtool_heat_matches_profile;
+    Alcotest.test_case
+      "wrapper: one counters table, sidecars written when the run raises"
+      `Quick test_telemetry_wrapper;
   ]

@@ -56,16 +56,14 @@ let nested_tree =
 (* Semantic values for matcher tests: a printable trace of what each
    reduction produced. *)
 let string_callbacks emitted =
-  {
-    Gg_matcher.Matcher.on_shift =
-      (fun tok ->
+  Gg_matcher.Matcher.callbacks
+    ~on_shift:(fun tok ->
         match tok.Gg_ir.Termname.node with
         | Gg_ir.Tree.Name (_, n) -> n
         | Gg_ir.Tree.Const (_, k) -> Fmt.str "$%Ld" k
         | Gg_ir.Tree.Dreg (_, r) -> Fmt.str "r%d" r
-        | _ -> "_");
-    on_reduce =
-      (fun p args ->
+        | _ -> "_")
+    ~on_reduce:(fun p args ->
         match p.Grammar.action with
         | Action.Chain -> (match args with [| v |] -> v | _ -> assert false)
         | Action.Mode _ -> args.(0)
@@ -79,6 +77,5 @@ let string_callbacks emitted =
           let operands = if operands = "" then "?" else operands in
           let insn = Fmt.str "%s %s" key operands in
           emitted := insn :: !emitted;
-          Fmt.str "t%d" (List.length !emitted));
-    choose = (fun _ _ -> 0);
-  }
+          Fmt.str "t%d" (List.length !emitted))
+    ~choose:(fun _ _ -> 0) ()
