@@ -31,7 +31,6 @@ module Targets = Gg_targets.Targets
 module Pcc = Gg_pcc.Pcc
 module Sema = Gg_frontc.Sema
 module Corpus = Gg_frontc.Corpus
-module Machine = Gg_vaxsim.Machine
 module Metrics = Gg_profile.Metrics
 module Profile = Gg_profile.Profile
 module Heat = Gg_tablegen.Heat
@@ -78,9 +77,9 @@ let example_sources =
                 In_channel.input_all )))
 
 let dynamic_cycles asm (prog : Tree.program) =
-  (Machine.run_text ~max_steps:40_000_000 asm ~global_types:prog.Tree.globals
-     ~entry:"main" [])
-    .Machine.cycles
+  (Targets.run_text ~target:Backend.Vax ~max_steps:40_000_000 asm
+     ~global_types:prog.Tree.globals ~entry:"main" [])
+    .Simout.cycles
 
 (* per target: the dense tables and both packed layouts, the profiled
    one around the fixed corpus's firing heat *)

@@ -6,7 +6,9 @@
 
 module Driver = Gg_codegen.Driver
 module Pcc = Gg_pcc.Pcc
-module Machine = Gg_vaxsim.Machine
+module Simout = Gg_ir.Simout
+
+let simulate = Gg_targets.Targets.run_text ~target:Gg_codegen.Backend.Vax
 
 let source =
   {|
@@ -33,8 +35,7 @@ let () =
     gg.Driver.assembly;
   Fmt.pr "=== PCC-style baseline ===@.%s@." pcc.Pcc.assembly;
   let run asm =
-    Machine.run_text asm ~global_types:program.Gg_ir.Tree.globals
-      ~entry:"main" []
+    simulate asm ~global_types:program.Gg_ir.Tree.globals ~entry:"main" []
   in
   let og = run gg.Driver.assembly in
   let op = run pcc.Pcc.assembly in
@@ -44,10 +45,10 @@ let () =
     (Pcc.total_lines pcc);
   Fmt.pr "static cycles:        %12d   %9d@." (Driver.total_cycles gg)
     (Pcc.total_cycles pcc);
-  Fmt.pr "dynamic instructions: %12d   %9d@." og.Machine.insns_executed
-    op.Machine.insns_executed;
-  Fmt.pr "dynamic cycles:       %12d   %9d@." og.Machine.cycles
-    op.Machine.cycles;
+  Fmt.pr "dynamic instructions: %12d   %9d@." og.Simout.insns_executed
+    op.Simout.insns_executed;
+  Fmt.pr "dynamic cycles:       %12d   %9d@." og.Simout.cycles
+    op.Simout.cycles;
   Fmt.pr "results agree:        %b (both returned %a)@."
-    (Gg_ir.Interp.value_equal og.Machine.return_value op.Machine.return_value)
-    Gg_ir.Interp.pp_value og.Machine.return_value
+    (Gg_ir.Interp.value_equal og.Simout.return_value op.Simout.return_value)
+    Gg_ir.Interp.pp_value og.Simout.return_value

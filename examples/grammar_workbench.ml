@@ -80,9 +80,10 @@ let () =
     in
     let tables = Gg_codegen.Driver.build_tables gopts in
     let c = Gg_codegen.Driver.compile_program ~options ~tables prog in
-    (Gg_vaxsim.Machine.run_text c.Gg_codegen.Driver.assembly
-       ~global_types:prog.Gg_ir.Tree.globals ~entry:"main" [])
-      .Gg_vaxsim.Machine.output
+    (Gg_targets.Targets.run_text ~target:Gg_codegen.Backend.Vax
+       c.Gg_codegen.Driver.assembly ~global_types:prog.Gg_ir.Tree.globals
+       ~entry:"main" [])
+      .Gg_ir.Simout.output
   in
   Fmt.pr "r = 0; x = a*b; if (r != 0) ... should print 0@.";
   Fmt.pr "with the Branch-Cmp-Dreg production:    prints %a@."

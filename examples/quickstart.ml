@@ -33,19 +33,20 @@ let () =
   (* validation: execute the assembly and compare with the reference
      interpreter *)
   let simulated =
-    Gg_vaxsim.Machine.run_text compiled.Gg_codegen.Driver.assembly
+    Gg_targets.Targets.run_text ~target:Gg_codegen.Backend.Vax
+      compiled.Gg_codegen.Driver.assembly
       ~global_types:program.Gg_ir.Tree.globals ~entry:"main" []
   in
   let interpreted = Gg_ir.Interp.run program ~entry:"main" [] in
   Fmt.pr "--- execution ---@.";
   Fmt.pr "simulator:   returned %a, printed %a@." Gg_ir.Interp.pp_value
-    simulated.Gg_vaxsim.Machine.return_value
+    simulated.Gg_ir.Simout.return_value
     Fmt.(Dump.list string)
-    simulated.Gg_vaxsim.Machine.output;
+    simulated.Gg_ir.Simout.output;
   Fmt.pr "interpreter: returned %a, printed %a@." Gg_ir.Interp.pp_value
     interpreted.Gg_ir.Interp.return_value
     Fmt.(Dump.list string)
     interpreted.Gg_ir.Interp.output;
   Fmt.pr "agreement:   %b@."
-    (Gg_ir.Interp.value_equal simulated.Gg_vaxsim.Machine.return_value
+    (Gg_ir.Interp.value_equal simulated.Gg_ir.Simout.return_value
        interpreted.Gg_ir.Interp.return_value)

@@ -9,21 +9,23 @@
 open Gg_ir
 module Driver = Gg_codegen.Driver
 module Pcc = Gg_pcc.Pcc
-module Machine = Gg_vaxsim.Machine
+module Simout = Gg_ir.Simout
 
-let agree (i : Interp.outcome) (s : Machine.outcome) =
-  Interp.value_equal s.Machine.return_value i.Interp.return_value
-  && s.Machine.output = i.Interp.output
-  && List.length s.Machine.globals = List.length i.Interp.globals
+let simulate = Gg_targets.Targets.run_text ~target:Gg_codegen.Backend.Vax
+
+let agree (i : Interp.outcome) (s : Simout.t) =
+  Interp.value_equal s.Simout.return_value i.Interp.return_value
+  && s.Simout.output = i.Interp.output
+  && List.length s.Simout.globals = List.length i.Interp.globals
   && List.for_all2
        (fun (n1, v1) (n2, v2) -> n1 = n2 && Interp.value_equal v1 v2)
-       s.Machine.globals i.Interp.globals
+       s.Simout.globals i.Interp.globals
 
 let validate name prog =
   let reference = Interp.run ~max_steps:10_000_000 prog ~entry:"main" [] in
   let check asm =
     agree reference
-      (Machine.run_text ~max_steps:40_000_000 asm
+      (simulate ~max_steps:40_000_000 asm
          ~global_types:prog.Tree.globals ~entry:"main" [])
   in
   let gg_ok = check (Driver.compile_program prog).Driver.assembly in

@@ -12,8 +12,6 @@ module Matcher = Gg_matcher.Matcher
 module Driver = Gg_codegen.Driver
 module Backend = Gg_codegen.Backend
 module Pcc = Gg_pcc.Pcc
-module Machine = Gg_vaxsim.Machine
-module Asmparse = Gg_vaxsim.Asmparse
 module Simout = Gg_ir.Simout
 module Targets = Gg_targets.Targets
 module Profile = Gg_profile.Profile

@@ -4,7 +4,7 @@
     consume, over a flat byte-addressable memory with a VAX-like calling
     convention (arguments via [ap], locals below [fp]).  It is the
     oracle for differential testing: a compiled program run under
-    {!Gg_vaxsim} must leave the same observable state (return value,
+    {!Gg_sim}, for either target, must leave the same observable state (return value,
     global variables, [print] output) as the interpreter.
 
     Arithmetic semantics (shared with the simulator): all integer

@@ -1,8 +1,8 @@
 (** The observable outcome of running a compiled program under a target
     simulator.
 
-    Every target simulator (vaxsim, riscsim, ...) reports exactly this
-    record, and the reference interpreter's {!Interp.outcome} carries
+    The simulator reports exactly this record under every instruction
+    set, and the reference interpreter's {!Interp.outcome} carries
     the same observables — return value, final scalar globals, print
     output — so the differential oracle can compare any backend against
     the interpreter and against any other backend without conversion. *)

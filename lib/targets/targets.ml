@@ -74,23 +74,14 @@ let live_cache_entries gopts =
       (Backend.target_name t, g))
     all
 
-exception Sim_error of string
-exception Parse_error of int * string
+exception Sim_error = Gg_sim.Machine.Sim_error
+exception Parse_error = Gg_sim.Asmparse.Parse_error
+
+let isa = function
+  | Backend.Vax -> Gg_sim.Vax.isa
+  | Backend.Risc -> Gg_sim.Risc.isa
 
 let run_text ~target ?max_steps ?global_types ?ret_type assembly ~entry args :
     Simout.t =
-  match target with
-  | Backend.Vax -> (
-    try
-      Gg_vaxsim.Machine.run_text ?max_steps ?global_types ?ret_type assembly
-        ~entry args
-    with
-    | Gg_vaxsim.Machine.Sim_error m -> raise (Sim_error m)
-    | Gg_vaxsim.Asmparse.Parse_error (l, m) -> raise (Parse_error (l, m)))
-  | Backend.Risc -> (
-    try
-      Gg_riscsim.Machine.run_text ?max_steps ?global_types ?ret_type assembly
-        ~entry args
-    with
-    | Gg_riscsim.Machine.Sim_error m -> raise (Sim_error m)
-    | Gg_riscsim.Asmparse.Parse_error (l, m) -> raise (Parse_error (l, m)))
+  Gg_sim.Machine.run_text (isa target) ?max_steps ?global_types ?ret_type
+    assembly ~entry args

@@ -1,13 +1,15 @@
-(** The target registry: one place that knows every backend and its
-    simulator.
+(** The target registry: one place that knows every backend and the
+    instruction set it runs under on the simulator.
 
     The compiler proper ({!Gg_codegen.Driver}) is target-independent
     and works off a {!Gg_codegen.Backend.t} record; this module maps
     target names to those records, owns the per-target default tables,
-    enumerates the cache entries a grammar keeps live, and dispatches
-    assembly to the matching simulator.  Everything above the driver —
-    [ggcc], [ggccd], [ggfuzz], [mdgtool], the benchmarks — selects a
-    target through here. *)
+    enumerates the cache entries a grammar keeps live, and runs
+    assembly on the one simulator ({!Gg_sim.Machine}) under the
+    target's instruction set ({!Gg_sim.Vax.isa}, {!Gg_sim.Risc.isa}).
+    Everything above the driver — [ggcc], [ggccd], [ggfuzz], [mdgtool],
+    the benchmarks, the tests — selects a target and simulates through
+    here. *)
 
 module Backend = Gg_codegen.Backend
 
@@ -56,15 +58,15 @@ val specialized_tables :
 val live_cache_entries :
   Gg_vax.Grammar_def.options -> (string * Gg_grammar.Grammar.t) list
 
-(** Target-specific simulator exceptions, normalised so callers need
-    not know which simulator ran. *)
+(** The simulator's exceptions ({!Gg_sim.Machine.Sim_error} and
+    {!Gg_sim.Asmparse.Parse_error}), the same for every target. *)
 exception Sim_error of string
 
 exception Parse_error of int * string
 
-(** Run assembly text under the target's simulator.  Raises
-    {!Sim_error} / {!Parse_error} (the per-simulator exceptions are
-    re-raised as these). *)
+(** Run assembly text under the target's instruction set on the one
+    simulator ({!Gg_sim.Machine}).  Raises {!Sim_error} on any fault of
+    a malformed program and {!Parse_error} on unparsable assembly. *)
 val run_text :
   target:Backend.target ->
   ?max_steps:int ->

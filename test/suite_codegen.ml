@@ -302,9 +302,9 @@ int main() {
     let options = { Driver.default_options with Driver.grammar = gopts } in
     let tables = Driver.build_tables gopts in
     let c = Driver.compile_program ~options ~tables prog in
-    (Gg_vaxsim.Machine.run_text c.Driver.assembly
-       ~global_types:prog.Gg_ir.Tree.globals ~entry:"main" [])
-      .Gg_vaxsim.Machine.output
+    (Gg_targets.Targets.run_text ~target:Gg_codegen.Backend.Vax
+       c.Driver.assembly ~global_types:prog.Gg_ir.Tree.globals ~entry:"main" [])
+      .Gg_ir.Simout.output
   in
   Alcotest.(check (list string)) "fixed grammar is correct"
     reference.Gg_ir.Interp.output

@@ -11,8 +11,10 @@
 open Gg_ir
 module Driver = Gg_codegen.Driver
 module Pcc = Gg_pcc.Pcc
-module Machine = Gg_vaxsim.Machine
+module Targets = Gg_targets.Targets
 module Oracle = Gg_fuzz.Oracle
+
+let simulate = Targets.run_text ~target:Gg_codegen.Backend.Vax
 
 (* one comparison for all observables; on mismatch the message names
    the differing observable (a global by name, the return value, or
@@ -30,11 +32,11 @@ let check_program ?(options = Driver.default_options) name prog =
   let run_backend bname assembly =
     let out =
       try
-        Machine.run_text ~max_steps:40_000_000 assembly
+        simulate ~max_steps:40_000_000 assembly
           ~global_types:prog.Tree.globals ~entry:"main" []
       with
-      | Machine.Sim_error m -> Alcotest.failf "%s/%s: simulator: %s" name bname m
-      | Gg_vaxsim.Asmparse.Parse_error (l, m) ->
+      | Targets.Sim_error m -> Alcotest.failf "%s/%s: simulator: %s" name bname m
+      | Targets.Parse_error (l, m) ->
         Alcotest.failf "%s/%s: asm parse error line %d: %s" name bname l m
     in
     check_observations name bname ~reference out
@@ -83,7 +85,7 @@ let test_random_corpus_no_reverse_ops () =
     let name = Fmt.str "norev-%d" seed in
     let reference = Interp.run ~max_steps:10_000_000 prog ~entry:"main" [] in
     let out =
-      Machine.run_text ~max_steps:40_000_000
+      simulate ~max_steps:40_000_000
         (Driver.compile_program ~options ~tables prog).Driver.assembly
         ~global_types:prog.Tree.globals ~entry:"main" []
     in
@@ -100,7 +102,7 @@ let test_random_corpus_with_peephole () =
     let reference = Interp.run ~max_steps:10_000_000 prog ~entry:"main" [] in
     let check bname asm =
       check_observations name bname ~reference
-        (Machine.run_text ~max_steps:40_000_000 asm
+        (simulate ~max_steps:40_000_000 asm
            ~global_types:prog.Tree.globals ~entry:"main" [])
     in
     check "gg+peephole" (Driver.compile_program ~options prog).Driver.assembly;

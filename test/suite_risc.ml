@@ -2,7 +2,7 @@
    grammar (chain cycles, syntactic blocks), the load/store discipline
    of the generated assembly, the instruction table, and the backend
    record wiring.  Execution-level parity with the interpreter and the
-   VAX backend lives in suite_riscsim and suite_ops. *)
+   VAX backend lives in suite_riscdiff, suite_sim and suite_ops. *)
 
 open Gg_ir
 open Gg_risc

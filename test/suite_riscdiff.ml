@@ -11,8 +11,10 @@
 
 open Gg_ir
 module Driver = Gg_codegen.Driver
-module Machine = Gg_riscsim.Machine
+module Targets = Gg_targets.Targets
 module Oracle = Gg_fuzz.Oracle
+
+let simulate = Targets.run_text ~target:Gg_codegen.Backend.Risc
 
 let risc_tables =
   lazy
@@ -35,11 +37,11 @@ let check_program ?(options = Driver.default_options) name prog =
   in
   let out =
     try
-      Machine.run_text ~max_steps:40_000_000 assembly
+      simulate ~max_steps:40_000_000 assembly
         ~global_types:prog.Tree.globals ~entry:"main" []
     with
-    | Machine.Sim_error m -> Alcotest.failf "%s/risc: simulator: %s" name m
-    | Gg_riscsim.Asmparse.Parse_error (l, m) ->
+    | Targets.Sim_error m -> Alcotest.failf "%s/risc: simulator: %s" name m
+    | Targets.Parse_error (l, m) ->
       Alcotest.failf "%s/risc: asm parse error line %d: %s" name l m
   in
   check_observations name ~reference out
