@@ -242,12 +242,12 @@ let trace_cmd path target tables_file no_cache profile =
       List.iter
         (fun (f : Tree.func) ->
           Fmt.pr "=== %s ===@." f.Tree.fname;
-          let tr =
-            Gg_transform.Transform.run ~leaf_need:b.Backend.leaf_need f
-          in
+          (* the trees and register bank the compiler itself uses, so
+             the trace shows the matcher runs of `ggcc compile` *)
+          let tr, reserved = Driver.transform_func tables f in
           let sem =
-            Gg_codegen.Semantics.create ~allocatable:b.Backend.alloc_regs
-              ?move:b.Backend.move
+            Gg_codegen.Semantics.create ~reserved
+              ~allocatable:b.Backend.alloc_regs ?move:b.Backend.move
               (Gg_codegen.Frame.create ~locals_size:f.Tree.locals_size
                  ~temps:tr.Gg_transform.Transform.temps)
           in

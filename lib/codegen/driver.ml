@@ -116,10 +116,7 @@ let reserved_registers ~alloc_regs (f : Tree.func) =
     (fun acc s -> match s with Tree.Stree t -> add acc t | _ -> acc)
     [] f.Tree.body
 
-(* Phases 1 and 2 of one function: the emitted stream (over virtual
-   registers under [Color]) inside its semantic state, the frame, and
-   the register variables withheld from the bank. *)
-let match_func ~options tables (f : Tree.func) =
+let transform_func ?(options = default_options) tables (f : Tree.func) =
   let backend = tables.backend in
   let alloc_regs = backend.Backend.alloc_regs in
   let reserved = reserved_registers ~alloc_regs f in
@@ -134,6 +131,15 @@ let match_func ~options tables (f : Tree.func) =
     Trace.phase "phase1.transform" (fun () ->
         Transform.run ~options:options.transform ~spill_limit ~leaf_need f)
   in
+  (tr, reserved)
+
+(* Phases 1 and 2 of one function: the emitted stream (over virtual
+   registers under [Color]) inside its semantic state, the frame, and
+   the register variables withheld from the bank. *)
+let match_func ~options tables (f : Tree.func) =
+  let backend = tables.backend in
+  let alloc_regs = backend.Backend.alloc_regs in
+  let tr, reserved = transform_func ~options tables f in
   let frame =
     Frame.create ~locals_size:f.Tree.locals_size ~temps:tr.Transform.temps
   in

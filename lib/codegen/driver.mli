@@ -86,6 +86,14 @@ type output = {
   program : Tree.program;
 }
 
+(** Phase 1 of one function exactly as {!compile_func} runs it, timed
+    under ["phase1.transform"]: the transformed function, whose [Stree]
+    trees are the ones the matcher sees, and the register variables
+    withheld from the bank.  The spill limit follows the backend's bank
+    less those registers. *)
+val transform_func :
+  ?options:options -> tables -> Tree.func -> Transform.result * int list
+
 (** Compile one function (already transformed trees are not required:
     the driver runs Phase 1 itself).  Phase 1 and the match phase are
     timed under ["phase1.transform"] / ["phase2.match"] when

@@ -835,7 +835,7 @@ let make_callbacks t ~mode ~emit:emit_d g (actions : 'e resolved array) :
     v
   in
   Matcher.callbacks
-    ~on_shift:(fun tok -> Desc.Node tok.Termname.node)
+    ~on_shift:(fun node -> Desc.Node node)
     ~on_reduce
     ~choose:(fun candidates _argss ->
       (* semantic choice among equal-length reductions: prefer

@@ -133,21 +133,23 @@ let find t s = Hashtbl.find_opt t.by_name s
    That store only ever replaces a string by another spelling of the
    same name, and the ids never change once the table is shared, so
    domains may share the cache and race on it freely. *)
+(* a top-level function, not a local closure over [t], [c] and [s]:
+   one would be allocated per lookup *)
+let rec probe t c s k =
+  let name = Array.unsafe_get c.names k in
+  if name == s then Array.unsafe_get c.ids k
+  else if name == vacant then
+    match Hashtbl.find t.by_name s with
+    | T i ->
+      c.names.(c.slot.(i)) <- s;
+      i
+    | N _ -> -1
+    | exception Not_found -> -1
+  else probe t c s ((k + 1) land c.mask)
+
 let term_id t s =
   let c = t.term_cache in
-  let rec probe k =
-    let name = Array.unsafe_get c.names k in
-    if name == s then Array.unsafe_get c.ids k
-    else if name == vacant then
-      match Hashtbl.find t.by_name s with
-      | T i ->
-        c.names.(c.slot.(i)) <- s;
-        i
-      | N _ -> -1
-      | exception Not_found -> -1
-    else probe ((k + 1) land c.mask)
-  in
-  probe (hash s land c.mask)
+  probe t c s (hash s land c.mask)
 
 let term_slot t i =
   assert (i >= 0 && i < t.n_terms);

@@ -21,17 +21,31 @@ let typed_tbl base =
   let a = family base in
   fun ty -> Array.unsafe_get a (dtype_index ty)
 
+(* the operator families, indexed by the operator's position in
+   [Op.all_binops] / [Op.all_unops]: one array read per token *)
+let binop_index : Op.binop -> int = function
+  | Plus -> 0 | Minus -> 1 | Mul -> 2 | Div -> 3 | Mod -> 4 | And -> 5
+  | Or -> 6 | Xor -> 7 | Lsh -> 8 | Rsh -> 9 | Udiv -> 10 | Umod -> 11
+  | Rminus -> 12 | Rdiv -> 13 | Rmod -> 14 | Rlsh -> 15 | Rrsh -> 16
+
+let unop_index : Op.unop -> int = function Neg -> 0 | Com -> 1
+
+let op_families index name ops =
+  let a = Array.make (List.length ops) [||] in
+  List.iter (fun op -> a.(index op) <- family (name op)) ops;
+  a
+
 let binop =
-  let families =
-    List.map (fun op -> (op, family (Op.binop_name op))) Op.all_binops
-  in
-  fun op ty -> Array.unsafe_get (List.assq op families) (dtype_index ty)
+  let families = op_families binop_index Op.binop_name Op.all_binops in
+  fun op ty ->
+    Array.unsafe_get (Array.unsafe_get families (binop_index op))
+      (dtype_index ty)
 
 let unop =
-  let families =
-    List.map (fun op -> (op, family (Op.unop_name op))) Op.all_unops
-  in
-  fun op ty -> Array.unsafe_get (List.assq op families) (dtype_index ty)
+  let families = op_families unop_index Op.unop_name Op.all_unops in
+  fun op ty ->
+    Array.unsafe_get (Array.unsafe_get families (unop_index op))
+      (dtype_index ty)
 
 let assign = typed_tbl "Assign"
 let rassign = typed_tbl "Rassign"
@@ -84,44 +98,69 @@ let special_const =
       | 8 -> pick eight
       | _ -> None
 
+(* One prefix walk, matching on the constructors directly: no
+   children list is built, and [emit] is called once per token with the
+   caller's own state [acc], so a caller that passes a top-level [emit]
+   allocates nothing per tree. *)
+let rec walk ~special_constants emit acc (t : Tree.t) =
+  match t with
+  | Const (ty, n) -> (
+    match if special_constants then special_const ty n else None with
+    | Some s -> emit acc s t
+    | None -> emit acc (const ty) t)
+  | Fconst (ty, _) -> emit acc (fconst ty) t
+  | Name (ty, _) -> emit acc (name_ ty) t
+  | Temp (ty, _) -> emit acc (temp ty) t
+  | Dreg (ty, _) -> emit acc (dreg ty) t
+  | Autoinc (ty, _) -> emit acc (autoinc ty) t
+  | Autodec (ty, _) -> emit acc (autodec ty) t
+  | Indir (ty, e) ->
+    emit acc (indir ty) t;
+    walk ~special_constants emit acc e
+  | Addr e ->
+    emit acc (addr (Tree.dtype e)) t;
+    walk ~special_constants emit acc e
+  | Unop (op, ty, e) ->
+    emit acc (unop op ty) t;
+    walk ~special_constants emit acc e
+  | Conv (to_, from, e) ->
+    emit acc (cvt ~from ~to_) t;
+    walk ~special_constants emit acc e
+  | Arg (ty, e) ->
+    emit acc (arg ty) t;
+    walk ~special_constants emit acc e
+  | Binop (op, ty, a, b) ->
+    emit acc (binop op ty) t;
+    walk ~special_constants emit acc a;
+    walk ~special_constants emit acc b
+  | Assign (ty, a, b) ->
+    emit acc (assign ty) t;
+    walk ~special_constants emit acc a;
+    walk ~special_constants emit acc b
+  | Rassign (ty, a, b) ->
+    emit acc (rassign ty) t;
+    walk ~special_constants emit acc a;
+    walk ~special_constants emit acc b
+  | Cbranch (_, _, ty, a, b, _) ->
+    emit acc cbranch t;
+    emit acc (cmp ty) t;
+    walk ~special_constants emit acc a;
+    walk ~special_constants emit acc b;
+    emit acc label t
+  | Call _ ->
+    invalid_arg "Termname.walk: Call trees are lowered before matching"
+  | Land _ | Lor _ | Lnot _ | Select _ | Relval _ ->
+    invalid_arg
+      "Termname.walk: short-circuit/selection operators are rewritten by \
+       Phase 1a before matching"
+
 type token = { term : string; node : Tree.t }
 
 let linearize ?(special_constants = true) tree =
   let buf = ref [] in
-  let emit term node = buf := { term; node } :: !buf in
-  let rec go (t : Tree.t) =
-    (match t with
-    | Const (ty, n) -> (
-      match if special_constants then special_const ty n else None with
-      | Some s -> emit s t
-      | None -> emit (const ty) t)
-    | Fconst (ty, _) -> emit (fconst ty) t
-    | Name (ty, _) -> emit (name_ ty) t
-    | Temp (ty, _) -> emit (temp ty) t
-    | Dreg (ty, _) -> emit (dreg ty) t
-    | Autoinc (ty, _) -> emit (autoinc ty) t
-    | Autodec (ty, _) -> emit (autodec ty) t
-    | Indir (ty, _) -> emit (indir ty) t
-    | Addr e -> emit (addr (Tree.dtype e)) t
-    | Unop (op, ty, _) -> emit (unop op ty) t
-    | Binop (op, ty, _, _) -> emit (binop op ty) t
-    | Conv (to_, from, _) -> emit (cvt ~from ~to_) t
-    | Assign (ty, _, _) -> emit (assign ty) t
-    | Rassign (ty, _, _) -> emit (rassign ty) t
-    | Cbranch (_, _, ty, _, _, _) ->
-      emit cbranch t;
-      emit (cmp ty) t
-    | Call _ ->
-      invalid_arg "Termname.linearize: Call trees are lowered before matching"
-    | Land _ | Lor _ | Lnot _ | Select _ | Relval _ ->
-      invalid_arg
-        "Termname.linearize: short-circuit/selection operators are rewritten \
-         by Phase 1a before matching"
-    | Arg (ty, _) -> emit (arg ty) t);
-    List.iter go (Tree.children t);
-    match t with Cbranch _ -> emit label t | _ -> ()
-  in
-  go tree;
+  walk ~special_constants
+    (fun buf term node -> buf := { term; node } :: !buf)
+    buf tree;
   List.rev !buf
 
 let pp_token ppf { term; node = _ } = Fmt.string ppf term

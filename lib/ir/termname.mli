@@ -36,13 +36,30 @@ val arg : Dtype.t -> string
     constants, e.g. [special_const Long 4L = Some "Four.l"]. *)
 val special_const : Dtype.t -> int64 -> string option
 
+(** [walk ~special_constants emit acc tree] calls [emit acc name node]
+    for each token of [tree]'s prefix linearisation (paper section 3.1 /
+    Appendix), in order: a node's own terminal, then its children's
+    tokens left to right; a [Cbranch] spells [Cbranch], [Cmp.t], its
+    two operands and a trailing [Label], all with the [Cbranch] node.
+    When [special_constants] is true, constants 0/1/2/4/8 are emitted as
+    their dedicated terminals.  The walk allocates nothing itself, and
+    every [name] is a shared string built once at module
+    initialisation.  Raises [Invalid_argument] on a node that Phase 1a
+    removes before matching ([Call], [Land], [Lor], [Lnot], [Select],
+    [Relval]). *)
+val walk :
+  special_constants:bool ->
+  ('acc -> string -> Tree.t -> unit) ->
+  'acc ->
+  Tree.t ->
+  unit
+
 (** A token of the linearised input: terminal name plus the tree node it
     came from (the node is the token's semantic value). *)
 type token = { term : string; node : Tree.t }
 
-(** Prefix linearisation of a tree (paper section 3.1 / Appendix).  When
-    [special_constants] is true (the default), constants 0/1/2/4/8 are
-    emitted as their dedicated terminals. *)
+(** The tokens {!walk} emits, as a list ([special_constants] defaults to
+    true). *)
 val linearize : ?special_constants:bool -> Tree.t -> token list
 
 val pp_token : token Fmt.t

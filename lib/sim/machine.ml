@@ -237,9 +237,28 @@ let type_at mnemonic i =
 let result st v = st.isa.result_flags st v
 let result_float st f = st.isa.result_flags_float st f
 
+(* [(a, dst)] for an instruction that reads [a] and writes [dst].  When
+   they are one operand ([a == dst]: the [dst] of [incl dst] or
+   [addl2 src,dst]) it is a modify operand and names one location, as
+   on a VAX: a memory operand's address is resolved once, so an
+   auto-increment or -decrement steps its register once, by the operand
+   width, and the write goes where the read came from. *)
+let modify_pair st (a : Mode.t) dst width =
+  match dst with
+  | Mode.Mem m when a == dst ->
+    let addr = st.isa.effective_addr st m width in
+    let at =
+      Mode.Mem
+        { base = None; sym = None; disp = Int64.of_int addr; index = None;
+          auto = None }
+    in
+    (at, at)
+  | _ -> (a, dst)
+
 (* dst := f src *)
 let unary st ty f_int f_float src dst =
   let w = Dtype.size ty in
+  let src, dst = modify_pair st src dst w in
   if Dtype.is_float ty then begin
     let v = f_float (read_float st src w) in
     write_float st dst w v;
@@ -251,17 +270,20 @@ let unary st ty f_int f_float src dst =
     result st v
   end
 
-(* dst := a OP b; [b] is read first, which orders auto side effects *)
+(* dst := a OP b; [b] is read first, which orders auto side effects,
+   then a modify operand [a == dst] is resolved *)
 let binary st ty f_int f_float a b dst =
   let w = Dtype.size ty in
   if Dtype.is_float ty then begin
     let y = read_float st b w in
+    let a, dst = modify_pair st a dst w in
     let v = f_float (read_float st a w) y in
     write_float st dst w v;
     result_float st v
   end
   else begin
     let y = read_int st b w in
+    let a, dst = modify_pair st a dst w in
     let v = sign_extend w (f_int (read_int st a w) y) in
     write_int st dst w v;
     result st v

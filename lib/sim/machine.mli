@@ -85,13 +85,18 @@ val write_int : state -> Mode.t -> int -> int64 -> unit
 (** The datatype named by mnemonic character [i]. *)
 val type_at : string -> int -> Dtype.t
 
-(** [unary st ty f_int f_float src dst]: dst := f src, at type [ty]. *)
+(** [unary st ty f_int f_float src dst]: dst := f src, at type [ty].
+    When [src == dst] (physically: [incl dst]) it is one modify
+    operand, whose address — and auto-increment or -decrement — is
+    resolved once. *)
 val unary :
   state -> Dtype.t -> (int64 -> int64) -> (float -> float) ->
   Mode.t -> Mode.t -> unit
 
 (** [binary st ty f_int f_float a b dst]: dst := f a b, reading [b]
-    first (which orders auto-increment side effects). *)
+    first (which orders auto-increment side effects).  When [a == dst]
+    (physically: [addl2 src,dst]) it is one modify operand, resolved
+    once after [b]. *)
 val binary :
   state -> Dtype.t -> (int64 -> int64 -> int64) ->
   (float -> float -> float) -> Mode.t -> Mode.t -> Mode.t -> unit

@@ -9,7 +9,11 @@
 
    [probe s a] reads the action cell, [tables.action.(s).(a)] unless
    given: a counting probe over a layout that {!Packed.verify} proved
-   equal measures which cells a run reads. *)
+   equal measures which cells a run reads.
+
+   [linearize] is the token-order oracle for {!Termname.walk}: the
+   lineariser as it was before the walk, a node's own terminal, then
+   [Tree.children] in order, and a [Cbranch]'s trailing [Label]. *)
 
 module Grammar = Gg_grammar.Grammar
 module Symtab = Gg_grammar.Symtab
@@ -17,6 +21,43 @@ module Tables = Gg_tablegen.Tables
 module Termname = Gg_ir.Termname
 module Matcher = Gg_matcher.Matcher
 module Profile = Gg_profile.Profile
+module Tree = Gg_ir.Tree
+
+let linearize ?(special_constants = true) tree =
+  let buf = ref [] in
+  let emit term node = buf := { Termname.term; node } :: !buf in
+  let rec go (t : Tree.t) =
+    (match t with
+    | Const (ty, n) -> (
+      match
+        if special_constants then Termname.special_const ty n else None
+      with
+      | Some s -> emit s t
+      | None -> emit (Termname.const ty) t)
+    | Fconst (ty, _) -> emit (Termname.fconst ty) t
+    | Name (ty, _) -> emit (Termname.name_ ty) t
+    | Temp (ty, _) -> emit (Termname.temp ty) t
+    | Dreg (ty, _) -> emit (Termname.dreg ty) t
+    | Autoinc (ty, _) -> emit (Termname.autoinc ty) t
+    | Autodec (ty, _) -> emit (Termname.autodec ty) t
+    | Indir (ty, _) -> emit (Termname.indir ty) t
+    | Addr e -> emit (Termname.addr (Tree.dtype e)) t
+    | Unop (op, ty, _) -> emit (Termname.unop op ty) t
+    | Binop (op, ty, _, _) -> emit (Termname.binop op ty) t
+    | Conv (to_, from, _) -> emit (Termname.cvt ~from ~to_) t
+    | Assign (ty, _, _) -> emit (Termname.assign ty) t
+    | Rassign (ty, _, _) -> emit (Termname.rassign ty) t
+    | Cbranch (_, _, ty, _, _, _) ->
+      emit Termname.cbranch t;
+      emit (Termname.cmp ty) t
+    | Arg (ty, _) -> emit (Termname.arg ty) t
+    | Call _ | Land _ | Lor _ | Lnot _ | Select _ | Relval _ ->
+      invalid_arg "Matcher_ref.linearize: not a matcher-ready tree");
+    List.iter go (Tree.children t);
+    match t with Cbranch _ -> emit Termname.label t | _ -> ()
+  in
+  go tree;
+  List.rev !buf
 
 let run ?(trace = false) ?probe (tables : Tables.t)
     (cb : 'a Matcher.callbacks) tokens : 'a Matcher.outcome =
@@ -65,7 +106,7 @@ let run ?(trace = false) ?probe (tables : Tables.t)
     | Tables.Shift s' ->
       ctrs.Profile.shifts <- ctrs.Profile.shifts + 1;
       record (Matcher.Sshift tokens.(i).Termname.term);
-      stack := (!state, cb.Matcher.on_shift tokens.(i)) :: !stack;
+      stack := (!state, cb.Matcher.on_shift tokens.(i).Termname.node) :: !stack;
       state := s';
       loop (i + 1)
     | Tables.Reduce candidates ->

@@ -153,6 +153,72 @@ let test_autoincrement_execution () =
   let out = run_asm ~globals:[ ("a", Dtype.Long, 8) ] Vax.isa src in
   Alcotest.check value "7+9" (Interp.VInt 16L) out.Machine.return_value
 
+(* A modify operand is evaluated once: [addl2 $3,(r6)+] or [incl -(r6)]
+   steps r6 by one operand width and rewrites only the word it read.
+   Three words [100; 13; 111] at [a]; r6 starts on the middle one for
+   (r6)+ and just past it for -(r6); the program returns r6 - a. *)
+let test_modify_operand_evaluated_once () =
+  (* [stem, two-operand?, effect on the word] *)
+  let ops =
+    [ ("add", true, fun v -> Int64.add v 3L);
+      ("sub", true, fun v -> Int64.sub v 3L);
+      ("mul", true, fun v -> Int64.mul v 3L);
+      ("div", true, fun v -> Int64.div v 3L);
+      ("bis", true, fun v -> Int64.logor v 3L);
+      ("xor", true, fun v -> Int64.logxor v 3L);
+      ("bic", true, fun v -> Int64.logand v (Int64.lognot 3L));
+      ("inc", false, Int64.succ);
+      ("dec", false, Int64.pred) ]
+  in
+  let case ty c (stem, two, f) (operand, start, final) =
+    let w = Dtype.size ty in
+    let insn =
+      if two then Fmt.str "%s%c2\t$3,%s" stem c operand
+      else Fmt.str "%s%c\t%s" stem c operand
+    in
+    let src =
+      String.concat "\n\t"
+        [ Fmt.str "\t.comm\ta,%d" (3 * w);
+          Fmt.str ".comm\te0,%d" w;
+          Fmt.str ".comm\te1,%d" w;
+          Fmt.str ".comm\te2,%d\nmain:" w;
+          Fmt.str "mov%c\t$100,a" c;
+          Fmt.str "mov%c\t$13,a+%d" c w;
+          Fmt.str "mov%c\t$111,a+%d" c (2 * w);
+          Fmt.str "moval\ta+%d,r6" (start * w);
+          insn;
+          Fmt.str "mov%c\ta,e0" c;
+          Fmt.str "mov%c\ta+%d,e1" c w;
+          Fmt.str "mov%c\ta+%d,e2" c (2 * w);
+          "moval\ta,r7";
+          "subl3\tr7,r6,r0";
+          "ret\n" ]
+    in
+    let out =
+      run_asm
+        ~globals:[ ("a", ty, 3 * w); ("e0", ty, w); ("e1", ty, w); ("e2", ty, w) ]
+        Vax.isa src
+    in
+    let check what expected actual =
+      Alcotest.check value (Fmt.str "%s: %s" insn what) (Interp.VInt expected)
+        actual
+    in
+    let global g = List.assoc g out.Machine.globals in
+    check "r6 moved one width" (Int64.of_int (final * w)) out.Machine.return_value;
+    check "word before" 100L (global "e0");
+    check "the word read" (Tree.wrap ty (f 13L)) (global "e1");
+    check "word after" 111L (global "e2")
+  in
+  List.iter
+    (fun (ty, c) ->
+      List.iter
+        (fun op ->
+          (* (r6)+ from the middle word ends past it; -(r6) from past
+             the middle word ends on it *)
+          List.iter (case ty c op) [ ("(r6)+", 1, 2); ("-(r6)", 2, 1) ])
+        ops)
+    [ (Dtype.Byte, 'b'); (Dtype.Word, 'w'); (Dtype.Long, 'l') ]
+
 let test_indexed_scaling () =
   (* [rx] scales by operand size: longs by 4 *)
   let src =
@@ -373,4 +439,6 @@ let suite =
       test_udivl_vax_only;
     Alcotest.test_case "faults of malformed programs raise Sim_error" `Quick
       test_fault_table;
+    Alcotest.test_case "modify operand evaluated once" `Quick
+      test_modify_operand_evaluated_once;
   ]

@@ -57,8 +57,8 @@ let nested_tree =
    reduction produced. *)
 let string_callbacks emitted =
   Gg_matcher.Matcher.callbacks
-    ~on_shift:(fun tok ->
-        match tok.Gg_ir.Termname.node with
+    ~on_shift:(fun node ->
+        match node with
         | Gg_ir.Tree.Name (_, n) -> n
         | Gg_ir.Tree.Const (_, k) -> Fmt.str "$%Ld" k
         | Gg_ir.Tree.Dreg (_, r) -> Fmt.str "r%d" r
