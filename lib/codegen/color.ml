@@ -11,7 +11,13 @@ open Import
    or rewrite the spilled live ranges through {!Frame} temporaries and
    try again.  Everything is deterministic — arrays, stream order,
    lowest-index tie-breaks — so colored output is byte-identical under
-   any [-j]. *)
+   any [-j].
+
+   A round's work is linear in the instructions plus the interference
+   edges: the graph is adjacency rows, a class's neighbours are found
+   by walking its members' rows through union-find and stamp arrays,
+   and the working arrays come from the domain's {!Liveness.Scratch}
+   rather than being allocated per function. *)
 
 type stats = {
   rounds : int;
@@ -40,6 +46,38 @@ let is_jump_fn (backend : Backend.t) =
   match backend.Backend.jump (Label.fresh g) with
   | Insn.Branch (m, _) -> fun m' -> String.equal m' m
   | _ -> fun _ -> false
+
+(* What the colorer asks of a backend beyond its record: the mover and
+   the mnemonic classes (with the jump test), resolved once per
+   backend and shared by every function, round and domain. *)
+type resolved = {
+  rs_backend : Backend.t;
+  rs_move : Dtype.t -> src:Mode.t -> dst:Mode.t -> Insn.t list;
+  rs_mn : Liveness.mnemonics;
+}
+
+(* the backends resolved so far, found by physical equality (a target
+   has one backend value) *)
+let resolutions : resolved list Atomic.t = Atomic.make []
+
+let rec resolve (backend : Backend.t) =
+  let seen = Atomic.get resolutions in
+  match List.find_opt (fun r -> r.rs_backend == backend) seen with
+  | Some r -> r
+  | None ->
+    let move = Option.value backend.Backend.move ~default:Regmgr.default_move in
+    let r =
+      {
+        rs_backend = backend;
+        rs_move = move;
+        rs_mn =
+          Liveness.mnemonics ~ra:backend.Backend.regalloc
+            ~move_mnemonics:(probe_move_mnemonics move)
+            ~is_jump:(is_jump_fn backend);
+      }
+    in
+    if Atomic.compare_and_set resolutions seen (r :: seen) then r
+    else resolve backend
 
 (* -- heat input ---------------------------------------------------------- *)
 
@@ -105,26 +143,47 @@ let array_of_list seed l =
   List.iteri (Array.unsafe_set a) l;
   a
 
-let bits = Liveness.Bits.bits
+module Scratch = Liveness.Scratch
+
+(* the scratch slots of one round *)
+let s_parent = 0
+let s_mnext = 1
+let s_mlast = 2
+let s_pre = 3
+let s_stamp_a = 4
+let s_buf_a = 5
+let s_stamp_b = 6
+let s_buf_b = 7
+let s_state = 8
+let s_ncls_off = 9
+let s_ncls = 10
+let s_avail = 11
+let s_deg = 12
+let s_reps = 13
+let s_heap = 14
+let s_stack = 15
+let s_color = 16
+let s_move_at = 17
+let s_weight = 0  (* of the float slots *)
+
+(* the physical register operands, shared by every rewritten stream *)
+let reg_modes = Array.init Liveness.nphys (fun p -> Mode.Reg p)
 
 let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
     ~(vinfo : Regmgr.vreg_summary) ~(heat : (int * int) list)
     ~(prov : (int * int list * string) list) (insns0 : Insn.t list) =
   let ra = backend.Backend.regalloc in
-  let move = Option.value backend.Backend.move ~default:Regmgr.default_move in
-  let is_jump = is_jump_fn backend in
-  let mn =
-    Liveness.mnemonics ~ra ~move_mnemonics:(probe_move_mnemonics move) ~is_jump
-  in
+  let { rs_move = move; rs_mn = mn; _ } = resolve backend in
+  let is_jump = Liveness.is_jump mn in
   let vbase = vinfo.Regmgr.vs_base in
   let have_prov = prov <> [] in
   (* per-vreg metadata, growing by doubling: spill rewriting mints
-     fresh temps *)
-  let nvregs = ref (Array.length vinfo.Regmgr.vs_types) in
+     fresh temps, and only those may not be spilled *)
+  let nv0 = Array.length vinfo.Regmgr.vs_types in
+  let nvregs = ref nv0 in
   let types = ref vinfo.Regmgr.vs_types in
   let kinds = ref vinfo.Regmgr.vs_kinds in
   let provs = ref vinfo.Regmgr.vs_prov in
-  let nospill = ref (Array.make !nvregs false) in
   let add_vreg ty p =
     let k = !nvregs in
     if k = Array.length !types then begin
@@ -135,13 +194,11 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
       in
       types := grow !types Dtype.Long;
       kinds := grow !kinds Regmgr.Vsingle;
-      provs := grow !provs (0, []);
-      nospill := grow !nospill false
+      provs := grow !provs (0, [])
     end;
     (!types).(k) <- ty;
     (!kinds).(k) <- Regmgr.Vsingle;
     (!provs).(k) <- p;
-    (!nospill).(k) <- true;
     nvregs := k + 1;
     vbase + k
   in
@@ -154,6 +211,7 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
   let st_stores = ref 0 in
   let st_reloads = ref 0 in
   let bank_mask = List.fold_left (fun a p -> a lor (1 lsl p)) 0 bank in
+  let bank_a = Array.of_list bank in
   let sorted_bank = Array.of_list (List.sort compare bank) in
   let result = ref None in
   let round = ref 0 in
@@ -168,11 +226,16 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
     (* -- coalescing: union-find over virtual-register nodes ------------- *)
     (* Each class's members are a linked list in merge order ([mnext],
        -1 ends it; [mlast] is a representative's last member).  The
-       interference rows are the working copy: merging ORs the lost
-       class's row into the kept one, so a representative's row is the
-       union of its members' neighbours, over original node ids. *)
-    let words = g.Interference.words and rows = g.Interference.rows in
-    let parent = Array.init nv (fun i -> i) in
+       graph itself never changes: a class's neighbours are its
+       members' rows read through [find]. *)
+    let adj_off = g.Interference.adj_off and adj = g.Interference.adj in
+    let parent = Scratch.ints s_parent nv in
+    let mnext = Scratch.ints s_mnext nv and mlast = Scratch.ints s_mlast nv in
+    for i = 0 to nv - 1 do
+      parent.(i) <- i;
+      mnext.(i) <- -1;
+      mlast.(i) <- i
+    done;
     let rec find i =
       if parent.(i) = i then i
       else begin
@@ -181,15 +244,14 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
         r
       end
     in
-    let mnext = Array.make nv (-1) in
-    let mlast = Array.init nv (fun i -> i) in
-    let in_row a m =
-      Array.unsafe_get rows ((a * words) + (m / bits)) land (1 lsl (m mod bits))
-      <> 0
-    in
+    (* some member of class [a] has a neighbour in class [b] *)
     let interferes_cls a b =
-      let rec go m = m >= 0 && (in_row a m || go mnext.(m)) in
-      go b
+      let rec row m e =
+        e < adj_off.(m + 1)
+        && (find (Array.unsafe_get adj e) = b || row m (e + 1))
+      in
+      let rec members m = m >= 0 && (row m adj_off.(m) || members mnext.(m)) in
+      members a
     in
     let width r = if kinds.(r) = Regmgr.Vpair_base then 2 else 1 in
     let forbid_cls r =
@@ -205,7 +267,8 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
        never spilled.  Their colors sit outside [bank] — the bank
        registers never appear in a virtual-mode stream — so they do not
        shrink anyone's palette, only pin the move ends together. *)
-    let pre = Array.make nv (-1) in
+    let pre = Scratch.ints s_pre nv in
+    Array.fill pre 0 nv (-1);
     let color_bits r p =
       (1 lsl p) lor (if kinds.(r) = Regmgr.Vpair_base then 1 lsl (p + 1) else 0)
     in
@@ -215,25 +278,26 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
        returns the new length.  Two stamp/buffer pairs, because degrees
        ([_b]) are taken while a neighbour list ([_a]) is being walked. *)
     let collect stamp gen buf len r =
-      let len = ref len in
-      let row = r * words in
-      for k = 0 to words - 1 do
-        let w = ref (Array.unsafe_get rows (row + k)) in
-        while !w <> 0 do
-          let low = !w land - !w in
-          let c = find ((k * bits) + Liveness.Bits.bit_index low) in
+      let len = ref len and m = ref r in
+      while !m >= 0 do
+        for e = adj_off.(!m) to adj_off.(!m + 1) - 1 do
+          let x = Array.unsafe_get adj e in
+          let c = if parent.(x) = x then x else find x in
           if c <> r && Array.unsafe_get stamp c <> gen then begin
             Array.unsafe_set stamp c gen;
             Array.unsafe_set buf !len c;
             incr len
-          end;
-          w := !w lxor low
-        done
+          end
+        done;
+        m := mnext.(!m)
       done;
       !len
     in
-    let stamp_a = Array.make nv 0 and gen_a = ref 0 and buf_a = Array.make nv 0 in
-    let stamp_b = Array.make nv 0 and gen_b = ref 0 and buf_b = Array.make nv 0 in
+    let stamp_a = Scratch.ints s_stamp_a nv and buf_a = Scratch.ints s_buf_a nv
+    and stamp_b = Scratch.ints s_stamp_b nv and buf_b = Scratch.ints s_buf_b nv in
+    Array.fill stamp_a 0 nv 0;
+    Array.fill stamp_b 0 nv 0;
+    let gen_a = ref 0 and gen_b = ref 0 in
     let classes_a r =
       incr gen_a;
       collect stamp_a !gen_a buf_a 0 r
@@ -263,10 +327,14 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
           end
         done
       end
-      else
-        for i = 0 to Array.length sorted_bank - 1 do
-          if (usable lsr sorted_bank.(i)) land 1 = 1 then incr k
-        done;
+      else begin
+        (* one per set bit *)
+        let x = ref usable in
+        while !x <> 0 do
+          x := !x land (!x - 1);
+          incr k
+        done
+      end;
       !k
     in
     (* precolored neighbours hold colors outside the bank: they pin
@@ -303,11 +371,6 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
       parent.(lose) <- keep;
       mnext.(mlast.(keep)) <- lose;
       mlast.(keep) <- mlast.(lose);
-      let rk = keep * words and rl = lose * words in
-      for k = 0 to words - 1 do
-        Array.unsafe_set rows (rk + k)
-          (Array.unsafe_get rows (rk + k) lor Array.unsafe_get rows (rl + k))
-      done;
       pre.(keep) <- max pre.(keep) pre.(lose)
     in
     (* precoloring class [v] to physical [p] is safe when they do not
@@ -370,84 +433,116 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
        size and spill cost are computed once.  Its active degree (the
        widths of its neighbours still in the graph; precolored ones
        never take a bank register away) is kept up to date as classes
-       are removed, and [low] holds exactly the remaining classes whose
-       degree is below their palette size. *)
-    let is_rep =
-      Array.init nv (fun i ->
-          find i = i && kinds.(i) <> Regmgr.Vpair_second && pre.(i) < 0)
+       are removed.  [state] says where a class stands: [low] ones have a
+       degree below their palette size. *)
+    let out = 0 and high = 1 and low = 2 and gone = 3 in
+    let state = Scratch.ints s_state nv in
+    (* The low classes are taken lowest-numbered first.  Most are low
+       from the start and come in ascending order, so a scan over
+       [reps] finds them; one that turns low behind the scan (its
+       number below the scan's) waits in a binary min-heap instead. *)
+    let reps = Scratch.ints s_reps nv and nreps = ref 0 and next = ref 0 in
+    let heap = Scratch.ints s_heap nv and hn = ref 0 in
+    let make_low r =
+      state.(r) <- low;
+      if !next < !nreps && r >= reps.(!next) then ()
+      else begin
+        let i = ref !hn in
+        incr hn;
+        while !i > 0 && heap.((!i - 1) / 2) > r do
+          heap.(!i) <- heap.((!i - 1) / 2);
+          i := (!i - 1) / 2
+        done;
+        heap.(!i) <- r
+      end
     in
-    let ncls_off = Array.make (nv + 1) 0 in
-    let ncls = ref (Array.make (max 16 nv) 0) in
-    let nn = ref 0 in
+    let pop () =
+      let top = heap.(0) in
+      decr hn;
+      let x = heap.(!hn) and i = ref 0 and sifting = ref true in
+      while !sifting do
+        let c = (2 * !i) + 1 in
+        let c = if c + 1 < !hn && heap.(c + 1) < heap.(c) then c + 1 else c in
+        if c < !hn && heap.(c) < x then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else sifting := false
+      done;
+      heap.(!i) <- x;
+      top
+    in
+    (* the lowest-numbered low class, or -1 if there is none *)
+    let lowest () =
+      while !next < !nreps && state.(reps.(!next)) <> low do
+        incr next
+      done;
+      if !hn > 0 && (!next >= !nreps || heap.(0) < reps.(!next)) then pop ()
+      else if !next < !nreps then begin
+        incr next;
+        reps.(!next - 1)
+      end
+      else -1
+    in
+    (* a class's neighbour classes are at most its members' neighbours *)
+    let ncls_off = Scratch.ints s_ncls_off (nv + 1) in
+    let ncls = Scratch.ints s_ncls adj_off.(nv) and nn = ref 0 in
+    let avail = Scratch.ints s_avail nv and deg = Scratch.ints s_deg nv in
+    let weight = Scratch.floats s_weight nv in
     for r = 0 to nv - 1 do
       ncls_off.(r) <- !nn;
-      if is_rep.(r) then begin
-        let n = classes_a r in
-        if !nn + n > Array.length !ncls then begin
-          let a = Array.make (2 * (!nn + n)) 0 in
-          Array.blit !ncls 0 a 0 !nn;
-          ncls := a
-        end;
-        Array.blit buf_a 0 !ncls !nn n;
-        nn := !nn + n
-      end
-    done;
-    ncls_off.(nv) <- !nn;
-    let ncls = !ncls in
-    let avail = Array.make nv 0 and deg = Array.make nv 0 in
-    let weight = Array.make nv 0.0 in
-    for r = 0 to nv - 1 do
-      if is_rep.(r) then begin
+      if find r = r && kinds.(r) <> Regmgr.Vpair_second && pre.(r) < 0
+      then begin
+        state.(r) <- high;
+        reps.(!nreps) <- r;
+        incr nreps;
+        incr gen_a;
+        nn := collect stamp_a !gen_a ncls !nn r;
         avail.(r) <- avail_colors r;
-        for e = ncls_off.(r) to ncls_off.(r + 1) - 1 do
+        deg.(r) <- 0;
+        for e = ncls_off.(r) to !nn - 1 do
           let c = ncls.(e) in
           if pre.(c) < 0 then deg.(r) <- deg.(r) + width c
         done;
         (* members in merge order: the float sum is order-sensitive *)
         let sum = ref 0.0 and m = ref r in
         while !m >= 0 do
-          if (!nospill).(!m) then sum := infinity
+          if !m >= nv0 then sum := infinity
           else if !sum <> infinity then
             sum := !sum +. g.Interference.weight.(!m);
           m := mnext.(!m)
         done;
-        weight.(r) <- !sum
+        weight.(r) <- !sum;
+        if deg.(r) < avail.(r) then make_low r
       end
+      else state.(r) <- out
     done;
-    let removed = Array.make nv false in
-    let low = Liveness.Bits.make nv in
-    let remaining = ref 0 in
-    for r = 0 to nv - 1 do
-      if is_rep.(r) then begin
-        incr remaining;
-        if deg.(r) < avail.(r) then Liveness.Bits.set low r
-      end
-    done;
+    ncls_off.(nv) <- !nn;
+    let remaining = !nreps in
     (* removal order; select pops from the top *)
-    let stack = Array.make !remaining 0 and sp = ref 0 in
+    let stack = Scratch.ints s_stack remaining and sp = ref 0 in
     let remove r =
-      removed.(r) <- true;
-      Liveness.Bits.clear low r;
+      state.(r) <- gone;
       stack.(!sp) <- r;
       incr sp;
-      decr remaining;
       for e = ncls_off.(r) to ncls_off.(r + 1) - 1 do
         let c = ncls.(e) in
-        if is_rep.(c) && not removed.(c) then begin
+        if state.(c) = high || state.(c) = low then begin
           deg.(c) <- deg.(c) - width r;
-          if deg.(c) < avail.(c) then Liveness.Bits.set low c
+          if state.(c) = high && deg.(c) < avail.(c) then make_low c
         end
       done
     in
-    while !remaining > 0 do
-      let r = Liveness.Bits.first low in
+    while !sp < remaining do
+      let r = lowest () in
       if r >= 0 then remove r
       else begin
         (* potential spill: cheapest cost per unit of pressure relieved,
            lowest index on ties *)
         let best = ref (-1) and best_p = ref infinity in
-        for r = 0 to nv - 1 do
-          if is_rep.(r) && not removed.(r) then begin
+        for j = 0 to remaining - 1 do
+          let r = reps.(j) in
+          if state.(r) <> gone then begin
             let p = weight.(r) /. float_of_int (1 + deg.(r)) in
             if !best < 0 || p < !best_p then begin
               best := r;
@@ -459,10 +554,10 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
       end
     done;
     (* -- select --------------------------------------------------------- *)
-    let color = Array.make nv (-1) in
-    Array.iteri
-      (fun i p -> if p >= 0 && find i = i then color.(i) <- p)
-      pre;
+    let color = Scratch.ints s_color nv in
+    for i = 0 to nv - 1 do
+      color.(i) <- (if pre.(i) >= 0 && find i = i then pre.(i) else -1)
+    done;
     let spills = ref [] in
     for s = !sp - 1 downto 0 do
       let r = stack.(s) in
@@ -475,15 +570,20 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
             used := !used lor (1 lsl (color.(c) + 1))
         end
       done;
-      let free p = !used land (1 lsl p) = 0 in
-      let pick =
-        if kinds.(r) = Regmgr.Vpair_base then
-          List.find_opt (fun p -> List.mem (p + 1) bank && free p && free (p + 1)) bank
-        else List.find_opt free bank
+      (* the first fitting register in bank order *)
+      let need =
+        if kinds.(r) = Regmgr.Vpair_base then 3 else 1
       in
-      match pick with
-      | Some p -> color.(r) <- p
-      | None -> spills := r :: !spills
+      let pick = ref (-1) and j = ref 0 in
+      while !pick < 0 && !j < Array.length bank_a do
+        let p = bank_a.(!j) in
+        if
+          (need = 1 || bank_mask land (1 lsl (p + 1)) <> 0)
+          && !used land (need lsl p) = 0
+        then pick := p;
+        incr j
+      done;
+      if !pick >= 0 then color.(r) <- !pick else spills := r :: !spills
     done;
     let spills = List.sort compare !spills in
     if spills = [] then begin
@@ -498,7 +598,7 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
       (* operands without a virtual register are kept as they are *)
       let map_mode (o : Mode.t) =
         match o with
-        | Mode.Reg r when r >= vbase -> Mode.Reg (map_reg r)
+        | Mode.Reg r when r >= vbase -> reg_modes.(map_reg r)
         | Mode.Mem m ->
           let virt = function Some r -> r >= vbase | None -> false in
           if virt m.Mode.base || virt m.Mode.index then
@@ -510,47 +610,46 @@ let run ~(backend : Backend.t) ~(bank : int list) ~(frame : Frame.t)
           else o
         | Mode.Reg _ | Mode.Imm _ | Mode.Fimm _ -> o
       in
-      let move_at = Array.make (Array.length !insns) false in
+      let insns = !insns in
+      let n = Array.length insns in
+      let move_at = Scratch.ints s_move_at n in
+      Array.fill move_at 0 n 0;
       for k = 0 to Interference.nmoves g - 1 do
-        move_at.(moves.(3 * k)) <- true
+        move_at.(moves.(3 * k)) <- 1
       done;
       (* deleting a now-redundant register self-move is unsafe only if
          the next instruction is a conditional branch reading the
          condition codes the move would have set *)
-      let cc_needed i =
-        let n = Array.length !insns in
-        let rec next j =
-          if j >= n then false
-          else
-            match (!insns).(j) with
-            | Insn.Comment _ -> next (j + 1)
-            | Insn.Branch (m, _) -> not (is_jump m)
-            | _ -> false
-        in
-        next (i + 1)
+      let rec cc_needed j =
+        j < n
+        &&
+        match insns.(j) with
+        | Insn.Comment _ -> cc_needed (j + 1)
+        | Insn.Branch (m, _) -> not (is_jump m)
+        | _ -> false
       in
+      (* built from the end, so no list is reversed *)
       let out = ref [] and outp = ref [] in
-      Array.iteri
-        (fun i insn ->
-          let keep insn' =
-            out := insn' :: !out;
-            if have_prov then outp := (!prov_a).(i) :: !outp
+      for i = n - 1 downto 0 do
+        let keep insn' =
+          out := insn' :: !out;
+          if have_prov then outp := (!prov_a).(i) :: !outp
+        in
+        match insns.(i) with
+        | Insn.Insn (m, ops) ->
+          let ops' = List.map map_mode ops in
+          let self_move =
+            move_at.(i) = 1
+            &&
+            match ops' with
+            | [ Mode.Reg a; Mode.Reg b ] -> a = b
+            | _ -> false
           in
-          match insn with
-          | Insn.Insn (m, ops) ->
-            let ops' = List.map map_mode ops in
-            let self_move =
-              move_at.(i)
-              &&
-              match ops' with
-              | [ Mode.Reg a; Mode.Reg b ] -> a = b
-              | _ -> false
-            in
-            if self_move && not (cc_needed i) then incr st_self_moves
-            else keep (Insn.Insn (m, ops'))
-          | _ -> keep insn)
-        !insns;
-      result := Some (List.rev !out, List.rev !outp)
+          if self_move && not (cc_needed (i + 1)) then incr st_self_moves
+          else keep (Insn.Insn (m, ops'))
+        | insn -> keep insn
+      done;
+      result := Some (!out, !outp)
     end
     else begin
       (* -- spill rewrite ------------------------------------------------ *)

@@ -6,18 +6,22 @@
     each site.
 
     {b Layout.}  Nodes are virtual registers [0 .. nv-1] (liveness
-    node minus {!Liveness.nphys}).  The graph is one flat bit matrix:
-    node [a]'s neighbours are the [words = ceil (nv / 63)] ints
-    [rows.(a * words)] .., node [b] at bit [b mod 63] of word
-    [b / 63].  Every array is pointer-free. *)
+    node minus {!Liveness.nphys}).  The graph is compressed adjacency
+    rows: node [a]'s neighbours are [adj.(adj_off.(a))] ..
+    [adj.(adj_off.(a+1) - 1)], in no particular order and possibly
+    repeated (a conflict recorded at two definitions is listed twice),
+    so the graph takes [nv + 1] ints plus two per recorded conflict,
+    not [nv * ceil (nv / 63)].  It is built by one backward scan per
+    block over a sparse live set, seeded from {!Liveness}'s live-out
+    rows.  Every array is pointer-free and linear in the instructions,
+    nodes or edges. *)
 
 type t = {
   nv : int;
-  words : int;  (** ints per row *)
-  rows : int array;
-      (** [nv * words]: per node, the set of nodes it interferes with;
-          symmetric and irreflexive.  {!Color} coalesces in place, so
-          after a round the rows are no longer this graph *)
+  adj_off : int array;  (** [nv + 1] row offsets into [adj] *)
+  adj : int array;
+      (** per node, the nodes it interferes with; symmetric and
+          irreflexive *)
   forbid : int array;
       (** per-node bitmask of physical registers it must not receive *)
   moves : int array;
@@ -34,7 +38,7 @@ val interferes : t -> int -> int -> bool
 (** Number of coalescable moves ([Array.length moves / 3]). *)
 val nmoves : t -> int
 
-(** Node [a]'s neighbours in ascending order. *)
+(** Node [a]'s neighbours in ascending order (its row as a list). *)
 val neighbours : t -> int -> int list
 
 val build :

@@ -7,10 +7,14 @@ open Import
    0..15 are the machine registers, 16.. are the virtual registers in
    allocation order.  Every per-function structure is a flat,
    pointer-free int array: def/use lists and the control-flow graph in
-   compressed-row form (an offset array into one node array), live sets
-   as rows of one word matrix.  Large arrays of pointers cost a minor
-   collection to create and promote whatever young values they point
-   at; int arrays cost neither. *)
+   compressed-row form (an offset array into one node array).  The
+   block dataflow runs over the non-local names only — the physical
+   registers and the virtual registers some block reads before it
+   writes them — so its rows stay one word wide for the code GG emits,
+   where no virtual register outlives its statement; everything local
+   to a block is left to {!Interference}'s backward scan.  Large arrays
+   of pointers cost a minor collection to create and promote whatever
+   young values they point at; int arrays cost neither. *)
 
 module Bits = struct
   (* word [k] holds nodes 63k..63k+62, node [i] at bit [i mod 63];
@@ -93,6 +97,46 @@ end
 
 let nphys = 16
 
+(* Per-domain working arrays, reused from function to function: an
+   array longer than 256 words is allocated straight into the major
+   heap, and one per function per stage added up to more words than
+   the code being colored.  A slot keeps the longest array asked of it
+   until its domain ends. *)
+module Scratch = struct
+  type t = { ints : int array array; floats : float array array }
+
+  let key =
+    Domain.DLS.new_key (fun () ->
+        { ints = Array.make 32 [||]; floats = Array.make 1 [||] })
+
+  let ints k n =
+    let s = Domain.DLS.get key in
+    let a = s.ints.(k) in
+    if Array.length a >= n then a
+    else begin
+      let a = Array.make (max n (2 * Array.length a)) 0 in
+      s.ints.(k) <- a;
+      a
+    end
+
+  let floats k n =
+    let s = Domain.DLS.get key in
+    let a = s.floats.(k) in
+    if Array.length a >= n then a
+    else begin
+      let a = Array.make (max n (2 * Array.length a)) 0.0 in
+      s.floats.(k) <- a;
+      a
+    end
+
+  (* slot [k]'s array, at least twice as long as [a], holding the
+     first [len] ints of [a] *)
+  let grow k a len =
+    let a' = ints k ((2 * Array.length a) + 16) in
+    Array.blit a 0 a' 0 len;
+    a'
+end
+
 (* -- mnemonic classes ------------------------------------------------------ *)
 
 (* A class packs what the allocator asks of a mnemonic: bits 0-1 the
@@ -108,29 +152,93 @@ let code_of_kind = function
   | Backend.Dst_write -> dst_write
   | Backend.Dst_readwrite -> dst_readwrite
 
-module Stbl = Hashtbl.Make (String)
+(* The classes of the mnemonics seen so far, in one open-addressing
+   table that is never written once published: a new mnemonic is added
+   to a copy, swapped in whole, so every domain compiling for the
+   backend reads it without a lock.  Emitted mnemonics are shared
+   constants, so a probe almost always ends at a slot holding the very
+   same string; a fresh copy of a known spelling (the default mover's
+   ["mov" ^ suffix]) is found by [String.equal] on the way. *)
+type known = { names : string array; classes : int array; count : int }
+
+(* marks a free slot; compared by [==] only *)
+let free = String.make 1 '\000'
+
+let known_empty =
+  { names = Array.make 64 free; classes = Array.make 64 0; count = 0 }
 
 type mnemonics = {
   mn_ra : Backend.regalloc_info;
   mn_moves : string list;
   mn_is_jump : string -> bool;
-  mn_class : int Stbl.t;
+  mn_known : known Atomic.t;
 }
 
 let mnemonics ~ra ~move_mnemonics ~is_jump =
   { mn_ra = ra; mn_moves = move_mnemonics; mn_is_jump = is_jump;
-    mn_class = Stbl.create 64 }
+    mn_known = Atomic.make known_empty }
+
+let is_jump mn = mn.mn_is_jump
+
+(* a mnemonic's length, first and last characters *)
+let hash m =
+  let n = String.length m in
+  if n = 0 then 0
+  else
+    (((n * 31) + Char.code (String.unsafe_get m 0)) * 31)
+    + Char.code (String.unsafe_get m (n - 1))
+
+(* [m] at its free slot of [k], whose arrays are fresh *)
+let place k m c =
+  let mask = Array.length k.names - 1 in
+  let rec go j =
+    if k.names.(j) == free then begin
+      k.names.(j) <- m;
+      k.classes.(j) <- c
+    end
+    else go ((j + 1) land mask)
+  in
+  go (hash m land mask)
+
+let with_class k m c =
+  let size = Array.length k.names in
+  let k' =
+    if 2 * (k.count + 1) <= size then
+      { names = Array.copy k.names; classes = Array.copy k.classes;
+        count = k.count + 1 }
+    else begin
+      let k' =
+        { names = Array.make (2 * size) free; classes = Array.make (2 * size) 0;
+          count = k.count + 1 }
+      in
+      Array.iteri
+        (fun j n -> if n != free then place k' n k.classes.(j))
+        k.names;
+      k'
+    end
+  in
+  place k' m c;
+  k'
 
 let class_of mn m =
-  match Stbl.find_opt mn.mn_class m with
-  | Some c -> c
-  | None ->
-    let c =
-      code_of_kind (mn.mn_ra.Backend.ra_dst m)
-      lor if List.mem m mn.mn_moves then move_bit else 0
-    in
-    Stbl.add mn.mn_class m c;
-    c
+  let k = Atomic.get mn.mn_known in
+  let mask = Array.length k.names - 1 in
+  let rec probe j =
+    let n = Array.unsafe_get k.names j in
+    if n == m then Array.unsafe_get k.classes j
+    else if n == free then begin
+      let c =
+        code_of_kind (mn.mn_ra.Backend.ra_dst m)
+        lor if List.mem m mn.mn_moves then move_bit else 0
+      in
+      (* losing a race to another domain only costs a later miss *)
+      ignore (Atomic.compare_and_set mn.mn_known k (with_class k m c));
+      c
+    end
+    else if String.equal n m then Array.unsafe_get k.classes j
+    else probe ((j + 1) land mask)
+  in
+  probe (hash m land mask)
 
 (* -- the analysis ---------------------------------------------------------- *)
 
@@ -152,6 +260,8 @@ type t = {
   pred : int array;
   depth : int array;
   block_of : int array;
+  gid : int array;
+  glob : int array;
   stride : int;
   live_out : int array;
 }
@@ -168,37 +278,19 @@ let dst_kind t i =
 let is_move_mnemonic t i = t.cls.(i) land move_bit <> 0
 
 (* Live-set rows: word 0 is the mask of physical nodes, words 1.. hold
-   virtual node [v + nphys] at bit [v mod 63] of word [1 + v / 63], so
-   a row's virtual part lines up word for word with a row of the
-   interference matrix. *)
-let set_words nnodes = 1 + ((nnodes - nphys + Bits.bits - 1) / Bits.bits)
+   global [g] at bit [g mod 63] of word [1 + g / 63]. *)
+let set_global m base g =
+  let k = base + 1 + (g / Bits.bits) in
+  Array.unsafe_set m k (Array.unsafe_get m k lor (1 lsl (g mod Bits.bits)))
 
-let set_node m base n =
-  if n < nphys then
-    Array.unsafe_set m base (Array.unsafe_get m base lor (1 lsl n))
+let live_out_mem t b n =
+  let base = b * t.stride in
+  if n < nphys then t.live_out.(base) land (1 lsl n) <> 0
   else
-    let v = n - nphys in
-    let k = base + 1 + (v / Bits.bits) in
-    Array.unsafe_set m k (Array.unsafe_get m k lor (1 lsl (v mod Bits.bits)))
-
-let clear_node m base n =
-  if n < nphys then
-    Array.unsafe_set m base (Array.unsafe_get m base land lnot (1 lsl n))
-  else
-    let v = n - nphys in
-    let k = base + 1 + (v / Bits.bits) in
-    Array.unsafe_set m k
-      (Array.unsafe_get m k land lnot (1 lsl (v mod Bits.bits)))
-
-let mem_node m base n =
-  if n < nphys then Array.unsafe_get m base land (1 lsl n) <> 0
-  else
-    let v = n - nphys in
-    Array.unsafe_get m (base + 1 + (v / Bits.bits))
-    land (1 lsl (v mod Bits.bits))
-    <> 0
-
-let live_out_mem t b n = mem_node t.live_out (b * t.stride) n
+    let g = t.gid.(n - nphys) in
+    g >= 0
+    && t.live_out.(base + 1 + (g / Bits.bits)) land (1 lsl (g mod Bits.bits))
+       <> 0
 
 (* a growable int buffer *)
 type buf = { mutable a : int array; mutable len : int }
@@ -223,19 +315,6 @@ let push b x =
    the stream anyway). *)
 let node ~vbase r = if r >= vbase then nphys + (r - vbase) else r
 
-let use_mode ~vbase uses (o : Mode.t) =
-  match o with
-  | Mode.Reg r -> push uses (node ~vbase r)
-  | Mode.Mem { Mode.base; index; _ } ->
-    (match base with Some r -> push uses (node ~vbase r) | None -> ());
-    (match index with Some r -> push uses (node ~vbase r) | None -> ())
-  | Mode.Imm _ | Mode.Fimm _ -> ()
-
-let def_auto ~vbase defs (o : Mode.t) =
-  match o with
-  | Mode.Mem { Mode.auto = Some _; base = Some b; _ } -> push defs (node ~vbase b)
-  | _ -> ()
-
 (* operands in order; the last one is the destination when [dst] is
    not [dst_none] *)
 let rec operands ~vbase defs uses dst = function
@@ -243,64 +322,67 @@ let rec operands ~vbase defs uses dst = function
   | [ Mode.Reg r ] when dst <> dst_none ->
     push defs (node ~vbase r);
     if dst = dst_readwrite then push uses (node ~vbase r)
-  | o :: rest ->
-    use_mode ~vbase uses o;
-    def_auto ~vbase defs o;
+  | Mode.Reg r :: rest ->
+    push uses (node ~vbase r);
     operands ~vbase defs uses dst rest
+  | Mode.Mem { Mode.base; index; auto; _ } :: rest ->
+    (match base with Some r -> push uses (node ~vbase r) | None -> ());
+    (match index with Some r -> push uses (node ~vbase r) | None -> ());
+    (match (auto, base) with
+    | Some _, Some r -> push defs (node ~vbase r)
+    | _ -> ());
+    operands ~vbase defs uses dst rest
+  | (Mode.Imm _ | Mode.Fimm _) :: rest -> operands ~vbase defs uses dst rest
 
-let def_use mn ~vbase insns =
-  let n = Array.length insns in
-  let cls = Array.make n 0 in
-  let def_off = Array.make (n + 1) 0 and use_off = Array.make (n + 1) 0 in
-  let defs = { a = Array.make (n + 16) 0; len = 0 } in
-  let uses = { a = Array.make ((2 * n) + 16) 0; len = 0 } in
-  for i = 0 to n - 1 do
-    def_off.(i) <- defs.len;
-    use_off.(i) <- uses.len;
-    match Array.unsafe_get insns i with
-    | Insn.Insn (m, ops) ->
-      let c = class_of mn m in
-      cls.(i) <- c;
-      operands ~vbase defs uses (c land 3) ops
-    | Insn.Call _ ->
-      push defs Regconv.r0;
-      push defs Regconv.r1
-    | Insn.Ret -> push uses Regconv.r0
-    | Insn.Branch _ | Insn.Lab _ | Insn.Comment _ -> ()
-  done;
-  def_off.(n) <- defs.len;
-  use_off.(n) <- uses.len;
-  (cls, def_off, defs.a, use_off, uses.a)
+(* the scratch slots of one [analyze] *)
+let s_first = 0
+let s_labels = 1
+let s_succ = 2
+let s_fill = 3
+let s_dfs = 4
+let s_back = 5
+let s_in_loop = 6
+let s_seen = 7
+let s_glob = 8
+let s_exposed = 9
+let s_use_phys = 10
+let s_def_phys = 11
+let s_use_b = 12
+let s_def_b = 13
+let s_live_in = 14
+let s_label_at = 15
 
 (* natural-loop depths from DFS back edges *)
 let loop_depths ~succ_off ~succ ~pred_off ~pred depth =
   let n = Array.length depth in
-  let color = Array.make n 0 in
-  (* 0 unvisited, 1 on stack, 2 done *)
-  let back = { a = [||]; len = 0 } in
+  let color = Scratch.ints s_dfs n in
+  Array.fill color 0 n 0;
+  (* 0 unvisited, 1 on stack, 2 done; at most one back edge per edge *)
+  let back = Scratch.ints s_back (2 * Array.length succ) and nback = ref 0 in
   let rec dfs b =
     color.(b) <- 1;
     for e = succ_off.(b) to succ_off.(b + 1) - 1 do
       let s = succ.(e) in
       if color.(s) = 0 then dfs s
       else if color.(s) = 1 then begin
-        push back b;
-        push back s
+        back.(!nback) <- b;
+        back.(!nback + 1) <- s;
+        nback := !nback + 2
       end
     done;
     color.(b) <- 2
   in
   if n > 0 then dfs 0;
-  let in_loop = Array.make n false in
-  for k = 0 to (back.len / 2) - 1 do
-    let tail = back.a.(2 * k) and head = back.a.((2 * k) + 1) in
+  let in_loop = Scratch.ints s_in_loop n in
+  for k = 0 to (!nback / 2) - 1 do
+    let tail = back.(2 * k) and head = back.((2 * k) + 1) in
     (* the natural loop of tail->head: head plus every block that
        reaches tail without passing through head *)
-    Array.fill in_loop 0 n false;
-    in_loop.(head) <- true;
+    Array.fill in_loop 0 n 0;
+    in_loop.(head) <- 1;
     let rec add b =
-      if not in_loop.(b) then begin
-        in_loop.(b) <- true;
+      if in_loop.(b) = 0 then begin
+        in_loop.(b) <- 1;
         for e = pred_off.(b) to pred_off.(b + 1) - 1 do
           add pred.(e)
         done
@@ -308,57 +390,128 @@ let loop_depths ~succ_off ~succ ~pred_off ~pred depth =
     in
     add tail;
     for b = 0 to n - 1 do
-      if in_loop.(b) then depth.(b) <- depth.(b) + 1
+      if in_loop.(b) = 1 then depth.(b) <- depth.(b) + 1
     done
   done
 
 let analyze mn ~vbase ~nvregs (insns : Insn.t array) =
   let n = Array.length insns in
   let nnodes = nphys + nvregs in
-  let cls, def_off, defs, use_off, uses = def_use mn ~vbase insns in
-  (* leaders *)
-  let leader = Array.make (max n 1) false in
-  if n > 0 then leader.(0) <- true;
-  let lo = ref max_int and hi = ref min_int in
+  let nv = nvregs in
+  (* One pass over the stream: each instruction's class, defs and uses;
+     its basic block (a block starts at a label, and after a branch or
+     a return); labels as (label, instruction) pairs; and, against the
+     block so far, the registers it reads before the block writes them.
+
+     Non-local names.  A virtual register that no block reads before
+     writing it is live into no block, hence out of none, so the
+     dataflow runs over the registers upward-exposed in some block
+     only: the globals, numbered in order of discovery ([gid] maps a
+     virtual register to its number, -1 for a local one; [glob] back
+     to its node).  Physical registers always take part, as a mask per
+     block.  [seen.(v)] is the last block that wrote [v]; an
+     upward-exposed use is kept as a (block, global) pair in
+     [exposed]. *)
+  let cls = Array.make n 0 in
+  let def_off = Array.make (n + 1) 0 and use_off = Array.make (n + 1) 0 in
+  let defs = { a = Array.make (n + 16) 0; len = 0 } in
+  let uses = { a = Array.make ((2 * n) + 16) 0; len = 0 } in
+  let block_of = Array.make (max n 1) 0 in
+  let first = Scratch.ints s_first n and nb = ref 0 and starts = ref true in
+  let labels = Scratch.ints s_labels (2 * n) and nl = ref 0 in
+  let use_phys = Scratch.ints s_use_phys n in
+  let def_phys = Scratch.ints s_def_phys n in
+  let gid = Array.make nv (-1) in
+  let seen = Scratch.ints s_seen nv in
+  Array.fill seen 0 nv (-1);
+  let glob = Scratch.ints s_glob nv and nglob = ref 0 in
+  let exposed = { a = Scratch.ints s_exposed 64; len = 0 } in
   for i = 0 to n - 1 do
-    match Array.unsafe_get insns i with
+    let insn = Array.unsafe_get insns i in
+    (match insn with Insn.Lab _ -> starts := true | _ -> ());
+    if !starts then begin
+      first.(!nb) <- i;
+      use_phys.(!nb) <- 0;
+      def_phys.(!nb) <- 0;
+      incr nb;
+      starts := false
+    end;
+    let b = !nb - 1 in
+    block_of.(i) <- b;
+    def_off.(i) <- defs.len;
+    use_off.(i) <- uses.len;
+    (match insn with
+    | Insn.Insn (m, ops) ->
+      let c = class_of mn m in
+      cls.(i) <- c;
+      operands ~vbase defs uses (c land 3) ops
+    | Insn.Call _ ->
+      push defs Regconv.r0;
+      push defs Regconv.r1
+    | Insn.Ret ->
+      push uses Regconv.r0;
+      starts := true
+    | Insn.Branch _ -> starts := true
     | Insn.Lab l ->
-      leader.(i) <- true;
-      if l < !lo then lo := l;
-      if l > !hi then hi := l
-    | Insn.Branch _ | Insn.Ret -> if i + 1 < n then leader.(i + 1) <- true
-    | _ -> ()
+      labels.(2 * !nl) <- l;
+      labels.((2 * !nl) + 1) <- i;
+      incr nl
+    | Insn.Comment _ -> ());
+    for k = use_off.(i) to uses.len - 1 do
+      let nd = Array.unsafe_get uses.a k in
+      if nd < nphys then begin
+        if def_phys.(b) land (1 lsl nd) = 0 then
+          use_phys.(b) <- use_phys.(b) lor (1 lsl nd)
+      end
+      else
+        let v = nd - nphys in
+        if seen.(v) <> b then begin
+          if gid.(v) < 0 then begin
+            gid.(v) <- !nglob;
+            glob.(!nglob) <- nd;
+            incr nglob
+          end;
+          if exposed.len + 2 > Array.length exposed.a then
+            exposed.a <- Scratch.grow s_exposed exposed.a exposed.len;
+          exposed.a.(exposed.len) <- b;
+          exposed.a.(exposed.len + 1) <- gid.(v);
+          exposed.len <- exposed.len + 2
+        end
+    done;
+    for k = def_off.(i) to defs.len - 1 do
+      let nd = Array.unsafe_get defs.a k in
+      if nd < nphys then def_phys.(b) <- def_phys.(b) lor (1 lsl nd)
+      else seen.(nd - nphys) <- b
+    done
   done;
+  def_off.(n) <- defs.len;
+  use_off.(n) <- uses.len;
+  let defs = defs.a and uses = uses.a in
+  let nblocks = !nb in
+  let blk_first = Array.sub first 0 nblocks in
+  let blk_last =
+    Array.init nblocks (fun b ->
+        if b + 1 < nblocks then first.(b + 1) - 1 else n - 1)
+  in
   (* label -> instruction index, -1 for a label outside this stream *)
-  let lo = !lo in
-  let label_at = Array.make (max 0 (!hi - lo + 1)) (-1) in
-  for i = 0 to n - 1 do
-    match Array.unsafe_get insns i with
-    | Insn.Lab l -> label_at.(l - lo) <- i
-    | _ -> ()
+  let lo = ref max_int and hi = ref min_int in
+  for k = 0 to !nl - 1 do
+    let l = labels.(2 * k) in
+    if l < !lo then lo := l;
+    if l > !hi then hi := l
+  done;
+  let lo = !lo and nlabels = max 0 (!hi - !lo + 1) in
+  let label_at = Scratch.ints s_label_at nlabels in
+  Array.fill label_at 0 nlabels (-1);
+  for k = 0 to !nl - 1 do
+    label_at.(labels.(2 * k) - lo) <- labels.((2 * k) + 1)
   done;
   let label_index l =
-    if l >= lo && l - lo < Array.length label_at then label_at.(l - lo) else -1
+    if l >= lo && l - lo < nlabels then label_at.(l - lo) else -1
   in
-  let nblocks = ref 0 in
-  for i = 0 to n - 1 do
-    if leader.(i) then incr nblocks
-  done;
-  let nblocks = !nblocks in
-  let blk_first = Array.make nblocks 0 and blk_last = Array.make nblocks 0 in
-  let block_of = Array.make (max n 1) 0 in
-  let b = ref (-1) in
-  for i = 0 to n - 1 do
-    if leader.(i) then begin
-      incr b;
-      blk_first.(!b) <- i
-    end;
-    block_of.(i) <- !b;
-    blk_last.(!b) <- i
-  done;
   (* successors: a branch's target first, then the fall-through *)
   let succ_off = Array.make (nblocks + 1) 0 in
-  let succ = Array.make (2 * nblocks) 0 in
+  let succ = Scratch.ints s_succ (2 * nblocks) in
   let ns = ref 0 in
   for b = 0 to nblocks - 1 do
     succ_off.(b) <- !ns;
@@ -391,7 +544,8 @@ let analyze mn ~vbase ~nvregs (insns : Insn.t array) =
     pred_off.(b + 1) <- pred_off.(b + 1) + pred_off.(b)
   done;
   let pred = Array.make !ns 0 in
-  let fill = Array.sub pred_off 0 (max nblocks 1) in
+  let fill = Scratch.ints s_fill nblocks in
+  Array.blit pred_off 0 fill 0 nblocks;
   for b = 0 to nblocks - 1 do
     for e = succ_off.(b) to succ_off.(b + 1) - 1 do
       let s = succ.(e) in
@@ -401,25 +555,33 @@ let analyze mn ~vbase ~nvregs (insns : Insn.t array) =
   done;
   let depth = Array.make nblocks 0 in
   loop_depths ~succ_off ~succ ~pred_off ~pred depth;
-  (* per-block use (upward-exposed) and def sets, then live-in and
-     live-out to a fixpoint, one [stride]-word row per block *)
-  let stride = set_words nnodes in
-  let use_b = Array.make (nblocks * stride) 0 in
-  let def_b = Array.make (nblocks * stride) 0 in
+  (* per-block use (upward-exposed) and def rows over the globals, then
+     live-in and live-out to a fixpoint, one [stride]-word row per
+     block *)
+  let stride = 1 + ((!nglob + Bits.bits - 1) / Bits.bits) in
+  let rows = nblocks * stride in
+  let use_b = Scratch.ints s_use_b rows and def_b = Scratch.ints s_def_b rows in
+  Array.fill use_b 0 rows 0;
+  Array.fill def_b 0 rows 0;
   for b = 0 to nblocks - 1 do
-    let base = b * stride in
-    for i = blk_first.(b) to blk_last.(b) do
-      for k = use_off.(i) to use_off.(i + 1) - 1 do
-        let nd = Array.unsafe_get uses k in
-        if not (mem_node def_b base nd) then set_node use_b base nd
-      done;
-      for k = def_off.(i) to def_off.(i + 1) - 1 do
-        set_node def_b base (Array.unsafe_get defs k)
+    use_b.(b * stride) <- use_phys.(b);
+    def_b.(b * stride) <- def_phys.(b)
+  done;
+  if !nglob > 0 then begin
+    for k = 0 to (exposed.len / 2) - 1 do
+      set_global use_b (exposed.a.(2 * k) * stride) exposed.a.((2 * k) + 1)
+    done;
+    for b = 0 to nblocks - 1 do
+      for k = def_off.(blk_first.(b)) to def_off.(blk_last.(b) + 1) - 1 do
+        let nd = Array.unsafe_get defs k in
+        if nd >= nphys && gid.(nd - nphys) >= 0 then
+          set_global def_b (b * stride) gid.(nd - nphys)
       done
     done
-  done;
-  let live_out = Array.make (nblocks * stride) 0 in
-  let live_in = Array.make (nblocks * stride) 0 in
+  end;
+  let live_out = Array.make rows 0 in
+  let live_in = Scratch.ints s_live_in rows in
+  Array.fill live_in 0 rows 0;
   let changed = ref true in
   while !changed do
     changed := false;
@@ -464,6 +626,8 @@ let analyze mn ~vbase ~nvregs (insns : Insn.t array) =
     pred;
     depth;
     block_of;
+    gid;
+    glob = Array.sub glob 0 !nglob;
     stride;
     live_out;
   }

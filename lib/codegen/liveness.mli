@@ -41,10 +41,30 @@ end
 
 val nphys : int
 
+(** Per-domain working arrays, reused from function to function, so
+    the allocator's working storage is not allocated per function.
+    [ints k n] is slot [k]'s array, at least [n] long, holding whatever
+    its last user left in it ([floats] likewise, one slot); [grow k a
+    len] is a longer one for slot [k] holding the first [len] ints of
+    [a].  There are 32 int slots.  {!analyze},
+    {!Interference.build} and {!Color} number their slots from 0 each:
+    the first two use theirs only inside one call, and the colorer
+    between the calls it makes to them.  A domain runs one colorer at
+    a time (no compile runs on a second thread of a domain), so no two
+    uses of a slot overlap. *)
+module Scratch : sig
+  val ints : int -> int -> int array
+  val floats : int -> int -> float array
+  val grow : int -> int array -> int -> int array
+end
+
 (** What the allocator asks of each mnemonic — its destination kind
     (the backend's [ra_dst]) and whether it is one of the mover's
-    register-to-register spellings — memoised per function, so each
-    distinct mnemonic is classified once however many rounds run. *)
+    register-to-register spellings.  {!Color} makes one per backend, so
+    each distinct mnemonic is classified once, whatever the function or
+    round, and the classes are shared by every domain without a lock.
+    A mnemonic is found by physical equality first (emitted mnemonics
+    are shared constants), then by [String.equal]. *)
 type mnemonics
 
 val mnemonics :
@@ -52,6 +72,9 @@ val mnemonics :
   move_mnemonics:string list ->
   is_jump:(string -> bool) ->
   mnemonics
+
+(** The [is_jump] it was made with. *)
+val is_jump : mnemonics -> string -> bool
 
 (** One function's def/use, control-flow graph and live-out sets, all
     in pointer-free int arrays.
@@ -66,11 +89,15 @@ val mnemonics :
     the fall-through) and its predecessors [pred.(pred_off.(b))] ..,
     in ascending block order, one entry per edge.
 
-    {b Live sets.}  Block [b]'s live-out set is the [stride] words
-    [live_out.(b * stride)] ..: word 0 holds the physical nodes as a
-    register mask, and virtual node [nphys + v] is bit [v mod 63] of
-    word [1 + v / 63] — so words [1 ..] line up word for word with a
-    row of the {!Interference} matrix. *)
+    {b Live sets.}  Only the non-local names take part in the block
+    dataflow: the physical registers and the {e globals}, the virtual
+    registers upward-exposed (read before written) in some block.  A
+    virtual register that is not a global is live out of no block.
+    [gid.(v)] is virtual register [v]'s global number (-1 if it has
+    none) and [glob.(g)] global [g]'s node.  Block [b]'s live-out set
+    is the [stride] words [live_out.(b * stride)] ..: word 0 holds the
+    physical nodes as a register mask, and global [g] is bit [g mod 63]
+    of word [1 + g / 63]. *)
 type t = {
   insns : Insn.t array;
   vbase : int;
@@ -89,7 +116,9 @@ type t = {
   pred : int array;
   depth : int array;  (** per block: loop nesting depth, 0 outside loops *)
   block_of : int array;  (** instruction index -> block index *)
-  stride : int;  (** words per live-set row: [1 + ceil ((nnodes - nphys) / 63)] *)
+  gid : int array;  (** per virtual register: global number or -1 *)
+  glob : int array;  (** per global: its node *)
+  stride : int;  (** words per live-set row: [1 + ceil (globals / 63)] *)
   live_out : int array;  (** [nblocks * stride] words *)
 }
 
@@ -107,15 +136,9 @@ val is_move_mnemonic : t -> int -> bool
 (** [live_out_mem t b n]: is node [n] live out of block [b]? *)
 val live_out_mem : t -> int -> int -> bool
 
-(** Add and remove node [n] in the live-set row starting at word
-    [base] of a matrix in the {!t.live_out} layout. *)
-val set_node : int array -> int -> int -> unit
-
-val clear_node : int array -> int -> int -> unit
-
 (** [analyze mn ~vbase ~nvregs insns] computes def/use, builds basic
     blocks (with loop depths from DFS back edges) and solves backward
-    liveness to a fixpoint. *)
+    liveness of the non-local names to a fixpoint. *)
 val analyze : mnemonics -> vbase:int -> nvregs:int -> Insn.t array -> t
 
 (** Loop depth of the block containing instruction [i]. *)

@@ -1,10 +1,12 @@
 (* A list-based formulation of the register allocator's analysis, the
-   test oracle for the flat-array one in lib/codegen: def/use as an
-   [(int list * int list) array], basic blocks as records with successor
-   and predecessor lists, live sets and interference rows as one
-   [Bits.t] per block or node, moves as a sorted triple list.
-   suite_regalloc checks the library's def/use, blocks, live-out sets
-   and interference graph against it field for field. *)
+   test oracle for the one in lib/codegen (compressed rows, dataflow
+   over the non-local names only, sparse live sets and adjacency
+   rows): def/use as an [(int list * int list) array], basic blocks as
+   records with successor and predecessor lists, live sets over every
+   node and interference rows as one [Bits.t] per block or node, moves
+   as a sorted triple list.  suite_regalloc checks the library's
+   def/use, blocks, live-out sets and interference graph against it
+   field for field. *)
 
 module Backend = Gg_codegen.Backend
 module Liveness = Gg_codegen.Liveness
