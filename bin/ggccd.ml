@@ -254,9 +254,11 @@ let workers_arg =
     & opt (some int) None
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Worker domains draining the request queue (default: the \
-           recommended domain count minus the accept thread, and at \
-           least 2 so blocked requests never serialise the queue).")
+          "Workers serving requests: the first runs on the main domain \
+           beside the accept and admin threads, each other one on a \
+           domain of its own, so $(b,--workers 1) is a single-domain \
+           daemon (default: the recommended domain count minus one, and \
+           at least 2 so blocked requests never serialise the queue).")
 
 let queue_arg =
   Arg.(
@@ -356,8 +358,8 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
           "Write a Chrome trace_event timeline of the serve session to \
-           $(docv) on shutdown — one track per worker domain, request \
-           spans tagged with their request id.")
+           $(docv) on shutdown — one track per domain, request spans \
+           tagged with their request id.")
 
 let () =
   let term =

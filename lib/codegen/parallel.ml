@@ -35,9 +35,17 @@ let available () = Domain.recommended_domain_count ()
    shutdown (or a completed map) left nothing running. *)
 let live = Atomic.make 0
 
-let counted f () =
+(* counted from before the spawn, so a pool is live as soon as
+   [spawn_pool] returns, not once its domains get going *)
+let counted_spawn f =
   Atomic.incr live;
-  Fun.protect ~finally:(fun () -> Atomic.decr live) f
+  match
+    Domain.spawn (fun () -> Fun.protect ~finally:(fun () -> Atomic.decr live) f)
+  with
+  | d -> d
+  | exception e ->
+    Atomic.decr live;
+    raise e
 
 let live_domains () = Atomic.get live
 
@@ -205,7 +213,7 @@ let spawn_pool ~domains body =
   let domains = max 1 domains in
   {
     pool_members =
-      List.init domains (fun i -> Domain.spawn (counted (fun () -> body i)));
+      List.init domains (fun i -> counted_spawn (fun () -> body i));
   }
 
 let join_pool { pool_members } =

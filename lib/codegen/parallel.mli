@@ -62,8 +62,8 @@ val spawn_pool : domains:int -> (int -> unit) -> pool
     exception (in worker order) after all have been joined. *)
 val join_pool : pool -> unit
 
-(** Domains currently executing work: {!spawn_pool} members for their
-    lifetime, map-pool workers only while participating in a batch
+(** Domains currently executing work: {!spawn_pool} members from the
+    moment [spawn_pool] returns until their body does, map-pool workers only while participating in a batch
     (parked workers are not counted).  Zero once every pool is joined
     and no batch is in flight — the invariant the shutdown tests
     assert. *)

@@ -76,10 +76,14 @@ let observe h v =
   let i = o + 3 + bucket_index h v in
   a.(i) <- a.(i) + 1
 
+(* a serving domain runs a worker and the accept thread as systhreads,
+   which may switch between the read and the write *)
 let incr ?(by = 1) name =
-  let named = (Profile.shard ()).named in
-  Hashtbl.replace named name
-    (by + Option.value ~default:0 (Hashtbl.find_opt named name))
+  let s = Profile.shard () in
+  Mutex.lock s.named_lock;
+  Hashtbl.replace s.named name
+    (by + Option.value ~default:0 (Hashtbl.find_opt s.named name));
+  Mutex.unlock s.named_lock
 
 (* -- merged reads -------------------------------------------------------- *)
 
@@ -216,6 +220,16 @@ let report ppf () =
           (buckets h))
     (all ())
 
+(* the counts of the last sample_gc: process-wide, like the collections
+   themselves, which stop every domain *)
+let gc_counts = Atomic.make (0, 0)
+
+let sample_gc () =
+  let st = Gc.quick_stat () in
+  Atomic.set gc_counts (st.Gc.minor_collections, st.Gc.major_collections)
+
+let () = sample_gc ()
+
 let to_json () =
   let b = Buffer.create 2048 in
   let snap = snapshot () in
@@ -231,6 +245,11 @@ let to_json () =
   Buffer.add_string b
     (Printf.sprintf "  \"ratios\": { \"shift_reduce\": %.4f },\n"
        (shift_reduce_ratio ()));
+  let minor, major = Atomic.get gc_counts in
+  Buffer.add_string b
+    (Printf.sprintf
+       "  \"gc\": { \"minor_collections\": %d, \"major_collections\": %d },\n"
+       minor major);
   Buffer.add_string b "  \"phases\": [\n";
   let ps = Profile.phases () in
   List.iteri
@@ -268,7 +287,9 @@ let to_json () =
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
 
-let write_json_atomic path = Json.write_atomic path (to_json ())
+let write_json_atomic path =
+  sample_gc ();
+  Json.write_atomic path (to_json ())
 
 (* -- Prometheus text exposition ------------------------------------------ *)
 

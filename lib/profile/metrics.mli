@@ -128,14 +128,24 @@ val reset : unit -> unit
     table per histogram ([ggcc --metrics]). *)
 val report : Format.formatter -> unit -> unit
 
+(** Record the process's minor and major collection counts
+    ([Gc.quick_stat]) for {!to_json}'s [gc] object.  Counts are taken
+    here, at fixed points (the end of every served request, every
+    {!write_json_atomic}), not by {!to_json} itself, so two documents
+    rendered with no sample between them are identical. *)
+val sample_gc : unit -> unit
+
 (** The machine-readable sidecar ([ggcc --metrics-out]): counters,
     phase timings and histograms as one JSON document, consumed by the
-    bench harness. *)
+    bench harness, plus a [gc] object holding the
+    [minor_collections] and [major_collections] of the last
+    {!sample_gc}. *)
 val to_json : unit -> string
 
-(** {!to_json}, written atomically ({!Json.write_atomic}): a reader (or
-    a daemon killed mid-write) never sees a torn snapshot.  [ggccd]'s
-    periodic snapshot loop and every [--metrics-out] use it. *)
+(** {!sample_gc}, then {!to_json} written atomically
+    ({!Json.write_atomic}): a reader (or a daemon killed mid-write)
+    never sees a torn snapshot.  [ggccd]'s periodic snapshot loop and
+    every [--metrics-out] use it. *)
 val write_json_atomic : string -> unit
 
 (** Prometheus text exposition (version 0.0.4) of the same view

@@ -72,6 +72,7 @@ type shard = {
   mutable events : event list;
   hist : int array;
   named : (string, int) Hashtbl.t;
+  named_lock : Mutex.t;
 }
 
 let registry : shard list ref = ref []
@@ -100,6 +101,7 @@ let new_shard () =
           events = [];
           hist = Array.make (!hist_words + line_words) 0;
           named = Hashtbl.create 16;
+          named_lock = Mutex.create ();
         }
       in
       registry := s :: !registry;

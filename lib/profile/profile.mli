@@ -146,6 +146,9 @@ type shard = {
   mutable events : event list;  (** trace edges, newest first *)
   hist : int array;  (** every histogram's words, see {!reserve_words} *)
   named : (string, int) Hashtbl.t;  (** named counters *)
+  named_lock : Mutex.t;
+      (** serialises {!Metrics.incr}'s read-modify-write among the
+          systhreads of the owning domain *)
 }
 
 (** The calling domain's shard, created and registered on first use. *)

@@ -1,10 +1,11 @@
 open Import
 
-(* The serving loop: accept thread -> bounded queue -> worker domains.
-   See server.mli for the architecture; the invariant maintained
-   throughout is that no request can kill the process — decode errors,
-   compile crashes and deadline misses all become responses, and only
-   the operator (signal / stop) ends the loop. *)
+(* The serving loop: idle workers accept their own connections; while
+   none is idle, the accept thread admits into a bounded queue or
+   sheds.  See server.mli for the architecture; the invariant
+   maintained throughout is that no request can kill the process —
+   decode errors, compile crashes and deadline misses all become
+   responses, and only the operator (signal / stop) ends the loop. *)
 
 type config = {
   socket_path : string;
@@ -42,7 +43,16 @@ type t = {
   shutdown : bool Atomic.t;
   n_served : int Atomic.t;
   recorder : Flight.t;
+  idle : int Atomic.t;  (** workers waiting for a connection *)
+  idle_m : Mutex.t;
+  all_busy : Condition.t;  (** [idle] reached 0, or stop began *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+      (** a byte here wakes idle workers out of [select]: a connection
+          was queued while one of them was idle, or stop began *)
   mutable pool : Parallel.pool option;
+  mutable local : Thread.t option;  (** worker 0, on the calling domain *)
+  mutable local_failure : (exn * Printexc.raw_backtrace) option;
   mutable acceptor : Thread.t option;
   mutable stopped : bool;
 }
@@ -90,7 +100,7 @@ let compile_request tables (req : Protocol.request) : Protocol.response =
   | Stack_overflow -> Protocol.Error (Protocol.Internal, "stack overflow")
   | e -> Protocol.Error (Protocol.Internal, Printexc.to_string e)
 
-(* -- workers -------------------------------------------------------------- *)
+(* -- serving one connection ------------------------------------------------ *)
 
 let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1e3
 
@@ -106,6 +116,8 @@ let respond t fd resp =
   | Protocol.Error _ -> Metrics.incr "server.responses_error"
   | Protocol.Timeout -> Metrics.incr "server.timeouts_total"
   | Protocol.Retry_after _ -> ());
+  (* before the reply: a client that reads stats next sees this one *)
+  Metrics.sample_gc ();
   Atomic.incr t.n_served;
   reply fd resp
 
@@ -223,49 +235,125 @@ let serve_connection t ~worker fd t_accept =
             (fields @ [ Slog.int "slow_ms" t.cfg.slow_ms ])
         else Slog.info t.cfg.logger ~event:"request.done" fields ))
 
+(* -- workers and the accept thread ----------------------------------------- *)
+
+(* Every worker is idle from the moment it finishes a connection until
+   it holds the next one.  An idle worker takes queued connections
+   first, then waits in [select] on the non-blocking listening socket
+   and serves what it accepts itself; the accept thread runs only while
+   no worker is idle, so no connection is handed between threads while
+   a worker is free to take it. *)
+
+let wake t =
+  try ignore (Unix.write_substring t.wake_w "!" 0 1 : int)
+  with Unix.Unix_error _ -> () (* full: a wake-up is already pending *)
+
+let drain_wake t buf =
+  (* stop's byte must reach every idle worker: never drain once stop
+     began, and put back a byte this drain may have taken from it *)
+  if not (Atomic.get t.shutdown) then begin
+    (try ignore (Unix.read t.wake_r buf 0 (Bytes.length buf) : int)
+     with Unix.Unix_error _ -> ());
+    if Atomic.get t.shutdown then wake t
+  end
+
+let busy t =
+  if Atomic.fetch_and_add t.idle (-1) = 1 then
+    Mutex.protect t.idle_m (fun () -> Condition.broadcast t.all_busy)
+
+let accept t =
+  match Unix.accept ~cloexec:true t.sock with
+  | exception
+      Unix.Unix_error
+        ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
+    ->
+    None (* another worker, or the accept thread, took it *)
+  | fd, _ ->
+    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.read_timeout_s
+     with Unix.Unix_error _ -> ());
+    Some (fd, Unix.gettimeofday ())
+
 let worker t idx =
-  let rec loop () =
+  let wake_buf = Bytes.create 64 in
+  let serve (fd, t_accept) =
+    (try serve_connection t ~worker:idx fd t_accept
+     with e ->
+       Slog.warn t.cfg.logger ~event:"worker.error"
+         [ Slog.int "worker" idx; Slog.str "error" (Printexc.to_string e) ]);
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Atomic.incr t.idle
+  in
+  let dequeued c =
+    Metrics.incr ~by:(-1) "server.queue_depth";
+    busy t;
+    serve c
+  in
+  (* stop began: the accept thread is gone or going, so serve what it
+     queued until stop closes the queue *)
+  let rec drain () =
     match Squeue.pop t.queue with
     | None -> ()
-    | Some (fd, t_accept) ->
-      Metrics.incr ~by:(-1) "server.queue_depth";
-      (try serve_connection t ~worker:idx fd t_accept
-       with e ->
-         Slog.warn t.cfg.logger ~event:"worker.error"
-           [ Slog.int "worker" idx; Slog.str "error" (Printexc.to_string e) ]);
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+    | Some c ->
+      dequeued c;
+      drain ()
+  in
+  let rec loop () =
+    match Squeue.try_pop t.queue with
+    | Some c ->
+      dequeued c;
+      loop ()
+    | None when Atomic.get t.shutdown -> drain ()
+    | None ->
+      (match Unix.select [ t.sock; t.wake_r ] [] [] 1.0 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | ready, _, _ ->
+        if List.memq t.wake_r ready then drain_wake t wake_buf;
+        if List.memq t.sock ready then
+          Option.iter
+            (fun c ->
+              busy t;
+              serve c)
+            (accept t));
       loop ()
   in
   loop ()
 
-(* -- accepting ------------------------------------------------------------ *)
+(* Admission control only: the accept thread waits while any worker is
+   idle, and otherwise queues each connection for the next worker to
+   come free, or sheds it with Retry_after when the queue is full.  It
+   is a systhread of the serving domain, so while worker 0 compiles it
+   runs at worker 0's next blocking call or the runtime's 50 ms thread
+   tick, whichever comes first: that is how long a shed waits. *)
+let admit t (fd, t_accept) =
+  if Squeue.try_push t.queue (fd, t_accept) then begin
+    Metrics.incr "server.queue_depth";
+    (* a worker that came free after its last look at the queue is in
+       select; the byte sends it back to the queue *)
+    if Atomic.get t.idle > 0 then wake t
+  end
+  else begin
+    (* backpressure: answer now, from the accept thread, so the client
+       learns immediately instead of queueing blind *)
+    Metrics.incr "server.rejected_total";
+    reply fd (Protocol.Retry_after t.cfg.retry_after_ms);
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  end
 
 let accept_loop t =
   while not (Atomic.get t.shutdown) do
+    Mutex.protect t.idle_m (fun () ->
+        while Atomic.get t.idle > 0 && not (Atomic.get t.shutdown) do
+          Condition.wait t.all_busy t.idle_m
+        done);
     (* a short select timeout doubles as the shutdown poll: SIGTERM
        lands in the main thread, which only flips the atomic *)
     match Unix.select [ t.sock ] [] [] 0.2 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept ~cloexec:true t.sock with
-      | exception
-          Unix.Unix_error
-            ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
-        ->
-        ()
-      | fd, _ ->
-        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.read_timeout_s
-         with Unix.Unix_error _ -> ());
-        if Squeue.try_push t.queue (fd, Unix.gettimeofday ()) then
-          Metrics.incr "server.queue_depth"
-        else begin
-          (* backpressure: answer now, from the accept thread, so the
-             client learns immediately instead of queueing blind *)
-          Metrics.incr "server.rejected_total";
-          reply fd (Protocol.Retry_after t.cfg.retry_after_ms);
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-        end)
+    | _ ->
+      (* a worker that came free while this thread waited takes it *)
+      if Atomic.get t.idle = 0 && not (Atomic.get t.shutdown) then
+        Option.iter (admit t) (accept t)
   done
 
 (* -- lifecycle ------------------------------------------------------------ *)
@@ -291,10 +379,17 @@ let start ~config:cfg ~tables () =
   let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
      Unix.bind sock (Unix.ADDR_UNIX cfg.socket_path);
-     Unix.listen sock 128
+     Unix.listen sock 128;
+     (* workers race for each connection: the losers must see EAGAIN,
+        not block in accept *)
+     Unix.set_nonblock sock
    with e ->
      (try Unix.close sock with Unix.Unix_error _ -> ());
      raise e);
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let workers = max 1 cfg.workers in
   let t =
     {
       cfg;
@@ -303,18 +398,37 @@ let start ~config:cfg ~tables () =
       shutdown = Atomic.make false;
       n_served = Atomic.make 0;
       recorder = Flight.create cfg.flight_capacity;
+      idle = Atomic.make workers;
+      idle_m = Mutex.create ();
+      all_busy = Condition.create ();
+      wake_r;
+      wake_w;
       pool = None;
+      local = None;
+      local_failure = None;
       acceptor = None;
       stopped = false;
       tables;
     }
   in
-  t.pool <- Some (Parallel.spawn_pool ~domains:cfg.workers (worker t));
+  (* worker 0 runs on this domain, which holds the accept and admin
+     threads anyway; only the other workers cost a domain each, and
+     every domain must stop for every minor collection *)
+  if workers > 1 then
+    t.pool <-
+      Some (Parallel.spawn_pool ~domains:(workers - 1) (fun i -> worker t (i + 1)));
+  t.local <-
+    Some
+      (Thread.create
+         (fun () ->
+           try worker t 0
+           with e -> t.local_failure <- Some (e, Printexc.get_raw_backtrace ()))
+         ());
   t.acceptor <- Some (Thread.create accept_loop t);
   Slog.info cfg.logger ~event:"serving"
     [
       Slog.str "socket" cfg.socket_path;
-      Slog.int "workers" cfg.workers;
+      Slog.int "workers" workers;
       Slog.int "queue_capacity" cfg.queue_capacity;
     ];
   t
@@ -323,15 +437,24 @@ let stop t =
   if not t.stopped then begin
     t.stopped <- true;
     Atomic.set t.shutdown true;
+    Mutex.protect t.idle_m (fun () -> Condition.broadcast t.all_busy);
+    wake t;
     Option.iter Thread.join t.acceptor;
-    (try Unix.close t.sock with Unix.Unix_error _ -> ());
     (* close after the acceptor is gone: everything already queued is
        still popped and served before the workers see the end *)
     Squeue.close t.queue;
+    Option.iter Thread.join t.local;
     Option.iter Parallel.join_pool t.pool;
+    (* no worker or accept thread is left in select on these *)
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ t.sock; t.wake_r; t.wake_w ];
     (try Sys.remove t.cfg.socket_path with Sys_error _ -> ());
     Slog.info t.cfg.logger ~event:"drained"
-      [ Slog.int "served" (Atomic.get t.n_served) ]
+      [ Slog.int "served" (Atomic.get t.n_served) ];
+    Option.iter
+      (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+      t.local_failure
   end
 
 let served t = Atomic.get t.n_served

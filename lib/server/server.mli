@@ -7,32 +7,49 @@ open Import
     subsequent compile — the serving analogue of the paper's table-reuse
     argument.  Architecture:
 
-    - an accept thread owns the Unix-domain listening socket and pushes
-      each accepted connection (stamped with its accept time) onto a
-      bounded {!Squeue}; a full queue is answered immediately with
-      {!Protocol.Retry_after} — backpressure instead of unbounded
-      buffering;
-    - a {!Parallel.spawn_pool} of worker domains drains the queue; each
-      worker reads the request frame, compiles behind an exception
-      barrier (a crashing compile becomes an [Error] response, the
-      daemon keeps serving), honours the request's deadline with a
-      [Timeout] response, writes the reply and closes the connection;
+    - [workers] workers serve connections: worker 0 is a systhread of
+      the domain that calls {!start}, and only the other [workers - 1]
+      run on {!Parallel.spawn_pool} domains, so [workers = 1] spawns no
+      domain at all.  Every domain must stop for every minor
+      collection, so a domain that only waits is not free;
+    - an idle worker first pops the bounded {!Squeue}, and when it is
+      empty waits in [select] on the non-blocking listening socket,
+      then accepts and serves the connection itself (a worker that
+      loses the race for a connection sees [EAGAIN] and waits again).
+      It reads the request frame, compiles behind an exception barrier
+      (a crashing compile becomes an [Error] response, the daemon keeps
+      serving), honours the request's deadline with a [Timeout]
+      response, writes the reply and closes the connection;
+    - an accept thread does admission control, and runs only while no
+      worker is idle: it queues each connection it accepts (stamped
+      with its accept time) for the next worker to come free, and
+      answers a full queue immediately with {!Protocol.Retry_after} —
+      backpressure instead of unbounded buffering.  It shares the
+      calling domain with worker 0, so while every worker is busy a
+      connection waits for worker 0's next blocking call or the
+      runtime's 50 ms thread tick before it is queued or shed;
     - {!stop} drains gracefully: accepting stops, everything already
       queued is still served, the workers are joined, the socket file
       removed.
+
+    The calling domain must not compile while the server runs: worker
+    0 compiles there, and the colorer's per-domain scratch
+    ([Liveness.Scratch]) serves one compile per domain at a time.
 
     Telemetry rides the existing instruments: [server.requests_total],
     [server.responses_*], [server.queue_depth] and friends in
     {!Metrics} named counters, the {!Metrics.queue_wait_us} /
     {!Metrics.request_latency_us} histograms, and one {!Trace} span per
-    request on the recording worker's own track.  The v4 request id is
+    request on the recording worker's domain track.  The v4 request id is
     threaded through everything a request touches — the span's [args],
     every {!Slog} record, the {!Flight} recorder entry — so one id
     greps across logs, traces and post-mortem dumps. *)
 
 type config = {
   socket_path : string;
-  workers : int;  (** worker domains draining the queue *)
+  workers : int;
+      (** workers serving connections: one on the calling domain, the
+          rest on a domain each *)
   queue_capacity : int;  (** accepted-but-unserved connections *)
   read_timeout_s : float;
       (** [SO_RCVTIMEO] on accepted connections, so a client that
@@ -52,25 +69,28 @@ val default_config : socket_path:string -> config
 
 type t
 
-(** Binds the socket, spawns the accept thread and worker pool, and
-    returns immediately.  A live daemon already owning the socket is a
+(** Binds the socket, starts worker 0 and the accept thread as
+    threads of the calling domain and the other workers on a domain
+    each, and returns immediately.  A live daemon already owning the socket is a
     [Failure]; a stale socket file is replaced.  [tables] resolves each
     request's target to its parse tables — the caller decides cache vs
     build (and typically backs it with per-target lazies so a target
     is only loaded when first requested); it must be safe to call from
-    any worker domain. *)
+    any worker, on any domain. *)
 val start :
   config:config -> tables:(Backend.target -> Driver.tables) -> unit -> t
 
 (** Graceful drain: stop accepting, serve the backlog, join the
-    workers, remove the socket file.  Idempotent. *)
+    workers and the accept thread, then close the listening socket (no
+    thread is left waiting on it) and remove its file.  Afterwards
+    {!Parallel.live_domains} reads 0.  Idempotent. *)
 val stop : t -> unit
 
 (** Requests answered so far (any response kind). *)
 val served : t -> int
 
-(** Connections accepted but not yet picked up by a worker (live admin
-    [stats]). *)
+(** Connections the accept thread queued that no worker has picked up
+    yet (live admin [stats]). *)
 val queue_depth : t -> int
 
 (** The daemon's flight recorder: the last [flight_capacity] request

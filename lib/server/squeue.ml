@@ -1,6 +1,7 @@
 (* Mutex + condition bounded queue.  Mutex/Condition synchronise across
-   domains in OCaml 5, so the accept thread (a systhread) and the
-   worker domains share this safely. *)
+   domains and systhreads alike in OCaml 5, so the accept thread and
+   the workers (systhreads of the serving domain and worker domains)
+   share this safely. *)
 
 type 'a t = {
   q : 'a Queue.t;
@@ -27,6 +28,8 @@ let try_push t x =
         Condition.signal t.nonempty;
         true
       end)
+
+let try_pop t = Mutex.protect t.m (fun () -> Queue.take_opt t.q)
 
 let pop t =
   Mutex.protect t.m (fun () ->

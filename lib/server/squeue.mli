@@ -1,10 +1,11 @@
 (** A bounded, multi-producer multi-consumer blocking queue.
 
-    The server's backpressure primitive: the accept thread produces
-    accepted connections, the {!Gg_codegen.Parallel} worker domains
-    consume them.  {!try_push} never blocks — a full queue is the
-    signal to answer {!Protocol.Retry_after} instead of accepting
-    unbounded work.  {!pop} blocks until an item or {!close}; after
+    The server's backpressure primitive: while every worker is busy,
+    the accept thread produces the connections it admits, and each
+    worker consumes them as it comes free, before it goes back to
+    accepting connections of its own.  {!try_push} never blocks — a
+    full queue is the signal to answer {!Protocol.Retry_after} instead
+    of accepting unbounded work.  {!pop} blocks until an item or {!close}; after
     [close], remaining items are still drained (graceful shutdown
     serves everything already accepted) and only then does [pop] return
     [None]. *)
@@ -15,6 +16,9 @@ val create : capacity:int -> 'a t
 
 (** Non-blocking; [false] when the queue is full or closed. *)
 val try_push : 'a t -> 'a -> bool
+
+(** Non-blocking; [None] when the queue is empty. *)
+val try_pop : 'a t -> 'a option
 
 (** Blocks until an item is available or the queue is closed and
     drained ([None]). *)

@@ -1050,6 +1050,93 @@ let test_start_refuses_live_socket () =
     Alcotest.(check bool) "message names the socket" true
       (contains ~sub:socket m)
 
+(* -- where the workers run ------------------------------------------------------ *)
+
+(* Worker 0 is a thread of the domain that calls Server.start; only the
+   other workers cost a domain each. *)
+
+let test_workers2_one_domain () =
+  with_server ~workers:2 @@ fun socket t ->
+  Alcotest.(check int) "one spawned domain while serving" 1
+    (Parallel.live_domains ());
+  (* two slow requests at once: one worker cannot take both, so the
+     worker on the serving domain answers at least one *)
+  let src = "int main() { return 6; }" in
+  let want = direct_compile src in
+  let answers = Array.make 2 "" in
+  let clients =
+    List.init 2 (fun i ->
+        Thread.create
+          (fun () ->
+            answers.(i) <-
+              expect_asm
+                (Client.compile ~retries:0 ~socket
+                   (Protocol.request ~sleep_ms:300 src)))
+          ())
+  in
+  List.iter Thread.join clients;
+  Array.iter (Alcotest.(check string) "served = direct" want) answers;
+  let workers =
+    List.map (fun e -> e.Flight.fe_worker) (Flight.entries (Server.recorder t))
+  in
+  Alcotest.(check bool)
+    (Fmt.str "worker 0 answered (workers %a)" Fmt.(Dump.list int) workers)
+    true
+    (List.length workers = 2 && List.mem 0 workers);
+  Server.stop t;
+  Alcotest.(check int) "no live domains after stop" 0 (Parallel.live_domains ())
+
+let test_workers1_no_domain () =
+  with_server ~workers:1 @@ fun socket t ->
+  Alcotest.(check int) "no spawned domain" 0 (Parallel.live_domains ());
+  List.iter
+    (fun (name, src) ->
+      let served =
+        expect_asm (Client.compile ~retries:0 ~socket (Protocol.request src))
+      in
+      if served <> direct_compile src then
+        Alcotest.failf "%s: served assembly differs from direct" name)
+    Corpus.fixed_programs;
+  Alcotest.(check bool) "worker 0 answered every request" true
+    (List.for_all
+       (fun e -> e.Flight.fe_worker = 0)
+       (Flight.entries (Server.recorder t)));
+  Alcotest.(check int) "still no spawned domain" 0 (Parallel.live_domains ())
+
+let test_burst_no_retry () =
+  (* 16 clients connect at once to two workers: idle workers race for
+     each connection (the loser sees EAGAIN and goes back to waiting)
+     and the accept thread queues the rest, which all fit *)
+  with_server ~workers:2 ~queue_capacity:16 @@ fun socket _t ->
+  let progs = Array.of_list Corpus.fixed_programs in
+  let srcs =
+    Array.init 16 (fun i -> snd progs.(i mod Array.length progs))
+  in
+  let want = Array.map direct_compile srcs in
+  let got = Array.make 16 (Error "unset") in
+  let clients =
+    List.init 16 (fun i ->
+        Thread.create
+          (fun () ->
+            got.(i) <-
+              (match
+                 Client.compile ~retries:0 ~socket (Protocol.request srcs.(i))
+               with
+              | Protocol.Asm a -> Ok a
+              | _ -> Error "not an Asm response"
+              | exception Client.Server_error m -> Error m))
+          ())
+  in
+  List.iter Thread.join clients;
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Ok a ->
+        Alcotest.(check string) (Fmt.str "client %d: served = direct" i)
+          want.(i) a
+      | Error m -> Alcotest.failf "client %d: %s" i m)
+    got
+
 let suite =
   [
     Alcotest.test_case "protocol: request round-trip" `Quick
@@ -1122,4 +1209,10 @@ let suite =
       test_start_refuses_live_socket;
     Alcotest.test_case "e2e: frontend limits are not crashes" `Quick
       test_e2e_frontend_limits_not_internal;
+    Alcotest.test_case "workers 2: one spawned domain, worker 0 serves" `Quick
+      test_workers2_one_domain;
+    Alcotest.test_case "workers 1: no spawned domain, byte parity" `Quick
+      test_workers1_no_domain;
+    Alcotest.test_case "burst of 16 clients: no Retry_after, byte parity"
+      `Quick test_burst_no_retry;
   ]

@@ -459,7 +459,33 @@ let test_metrics_json_well_formed () =
   Profile.enabled := true;
   let doc = Metrics.to_json () in
   all_off ();
-  check_json "metrics sidecar" doc
+  check_json "metrics sidecar" doc;
+  (* the gc object holds the counts of the last sample_gc: they move
+     with a sample, never between two renderings *)
+  let gc () =
+    let j = Gg_profile.Json.parse (Metrics.to_json ()) in
+    let count k =
+      match
+        Option.bind (Gg_profile.Json.member "gc" j) (fun g ->
+            Option.bind (Gg_profile.Json.member k g) Gg_profile.Json.to_int)
+      with
+      | Some n -> n
+      | None -> Alcotest.failf "gc.%s missing from the sidecar" k
+    in
+    (count "minor_collections", count "major_collections")
+  in
+  Metrics.sample_gc ();
+  let minor0, major0 = gc () in
+  Gc.full_major ();
+  Alcotest.(check (pair int int)) "counts stand still until sampled"
+    (minor0, major0) (gc ());
+  Metrics.sample_gc ();
+  let minor1, major1 = gc () in
+  Alcotest.(check bool)
+    (Fmt.str "a full major moves both counts (%d,%d -> %d,%d)" minor0 major0
+       minor1 major1)
+    true
+    (minor0 >= 0 && minor1 > minor0 && major1 > major0)
 
 (* -- quantiles, snapshots, expositions (the ops plane's read API) ------------ *)
 
