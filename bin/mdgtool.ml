@@ -45,7 +45,7 @@ let opts_term =
 
 let stats o =
   let schemas = Grammar_def.schemas o in
-  let generic = List.length (Gg_grammar.Schema.expand_all schemas) in
+  let generic = List.length (Schema.expand_all schemas) in
   let n_schemas = List.length schemas in
   let g = Grammar_def.grammar o in
   let gs = Grammar.stats g in
@@ -105,23 +105,22 @@ let print_grammar o =
   let g = Grammar_def.grammar o in
   Fmt.pr "%a@?" Grammar.pp g
 
-(* export the built-in VAX description in the textual .mdg format *)
-let export o =
-  let mdg = Mdg.of_schemas ~start:"stmt" (Grammar_def.schemas o) in
-  print_string (Mdg.print mdg)
-
-(* statistics for an external .mdg file *)
+(* statistics for a .mdg file, its %if flags at their default values *)
 let file_stats path =
   let ic = open_in_bin path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  match Mdg.parse text with
+  let flags = Grammar_def.flags Grammar_def.default
+  and types = Grammar_def.types Grammar_def.default in
+  match
+    let mdg = Mdg.parse text in
+    (Mdg.schemas ~flags ~types mdg, Mdg.to_grammar ~flags ~types mdg)
+  with
   | exception Mdg.Mdg_error (line, m) ->
     Fmt.epr "%s:%d: %s@." path line m;
     exit 1
-  | mdg ->
-    let g = Mdg.to_grammar mdg in
-    Fmt.pr "schemas:  %d@." (List.length mdg.Mdg.schemas);
+  | schemas, g ->
+    Fmt.pr "schemas:  %d@." (List.length schemas);
     Fmt.pr "grammar:  %a@." Grammar.pp_stats (Grammar.stats g);
     Fmt.pr "tables:   %a@." Tables.pp_stats (Tables.stats (Tables.build g))
 
@@ -586,8 +585,6 @@ let () =
         Term.(const blocks $ opts_term $ target_term "Check" $ verbose_term);
       cmd_of "print" "List all replicated productions."
         Term.(const print_grammar $ opts_term);
-      cmd_of "export" "Write the VAX description in .mdg text format."
-        Term.(const export $ opts_term);
       cmd_of "pack" "Table compression statistics."
         Term.(const pack_stats $ opts_term $ target_term "Pack");
       cmd_of "cache"

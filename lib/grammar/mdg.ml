@@ -1,9 +1,16 @@
 open Import
 
+type production = {
+  line : int;
+  guard : (string * bool) option;
+  schema : Schema.t;
+}
+
 type t = {
   start : string;
+  start_line : int;
   classes : (string * Dtype.t list) list;
-  schemas : Schema.t list;
+  productions : production list;
 }
 
 exception Mdg_error of int * string
@@ -11,8 +18,7 @@ exception Mdg_error of int * string
 let error line fmt = Fmt.kstr (fun s -> raise (Mdg_error (line, s))) fmt
 
 let split_ws s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
+  String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) s)
   |> List.filter (fun w -> w <> "")
 
 let suffixes_of line words =
@@ -38,15 +44,110 @@ let parse_action line = function
   | [ "emit"; name ] -> Action.Emit name
   | ws -> error line "bad action [%s]" (String.concat " " ws)
 
+let after_prefix prefix s =
+  let n = String.length prefix in
+  String.sub s n (String.length s - n)
+
+(* every "$x" in the production must be a variable its replication
+   binds: none for a literal, [$t]/[$c] for %over, [$f]/[$t] for %pairs *)
+let check_vars line (sch : Schema.t) =
+  let bound =
+    match sch.Schema.over with
+    | Schema.Literal -> []
+    | Schema.Types _ -> [ 't'; 'c' ]
+    | Schema.Pairs _ -> [ 'f'; 't' ]
+  in
+  let check s =
+    String.iteri
+      (fun i ch ->
+        if ch = '$' && i + 1 < String.length s && not (List.mem s.[i + 1] bound)
+        then error line "unbound variable $%c in %s" s.[i + 1] s)
+      s
+  in
+  check sch.Schema.lhs;
+  List.iter check sch.Schema.rhs;
+  Option.iter check (Action.payload sch.Schema.action);
+  check sch.Schema.note
+
 let parse text =
-  let lines = String.split_on_char '\n' text in
   let start = ref None in
   let classes = ref [] in
-  let schemas = ref [] in
+  let productions = ref [] in
   let class_named line name =
     match List.assoc_opt name !classes with
     | Some tys -> tys
     | None -> error line "unknown class %s" name
+  in
+  let directive line s =
+    match split_ws s with
+    | [ "%start"; name ] ->
+      if !start <> None then error line "second %%start declaration";
+      if Symtab.is_terminal_name name then
+        error line "start symbol %s is a terminal" name;
+      start := Some (name, line)
+    | "%start" :: _ -> error line "%%start takes one symbol"
+    | "%class" :: _ -> (
+      let body = after_prefix "%class" s in
+      match String.index_opt body '=' with
+      | None -> error line "bad %%class: missing ="
+      | Some j -> (
+        match split_ws (String.sub body 0 j) with
+        | [ name ] ->
+          if List.mem_assoc name !classes then
+            error line "class %s is already defined" name;
+          let tys =
+            suffixes_of line
+              (split_ws (String.sub body (j + 1) (String.length body - j - 1)))
+          in
+          classes := (name, tys) :: !classes
+        | _ -> error line "bad %%class: expected %%class NAME = SUFFIXES"))
+    | word :: _ -> error line "unknown directive %s" word
+    | [] -> ()
+  in
+  (* a production line: lhs <- rhs [action] (%over C | %pairs A B)? (%if [!]FLAG)? (; note)? *)
+  let production line s =
+    let s, note =
+      match String.index_opt s ';' with
+      | Some j ->
+        ( String.sub s 0 j,
+          String.trim (String.sub s (j + 1) (String.length s - j - 1)) )
+      | None -> (s, "")
+    in
+    let before, action_words, after = extract_bracketed line s in
+    let action = parse_action line action_words in
+    let rec clauses over guard = function
+      | [] -> (Option.value over ~default:Schema.Literal, guard)
+      | "%over" :: c :: rest when over = None ->
+        clauses (Some (Schema.Types (class_named line c))) guard rest
+      | "%pairs" :: a :: b :: rest when over = None ->
+        let ca = class_named line a and cb = class_named line b in
+        let ps =
+          List.concat_map
+            (fun x ->
+              List.filter_map
+                (fun y -> if Dtype.equal x y then None else Some (x, y))
+                cb)
+            ca
+        in
+        clauses (Some (Schema.Pairs ps)) guard rest
+      | "%if" :: flag :: rest when guard = None ->
+        let name, value =
+          if String.length flag > 1 && flag.[0] = '!' then
+            (after_prefix "!" flag, false)
+          else (flag, true)
+        in
+        clauses over (Some (name, value)) rest
+      | ws -> error line "unexpected trailing tokens: %s" (String.concat " " ws)
+    in
+    let over, guard = clauses None None (split_ws after) in
+    match split_ws before with
+    | lhs :: "<-" :: rhs when rhs <> [] ->
+      if Symtab.is_terminal_name lhs then
+        error line "terminal %s used as a left-hand side" lhs;
+      let schema = { Schema.lhs; rhs; action; note; over } in
+      check_vars line schema;
+      productions := { line; guard; schema } :: !productions
+    | _ -> error line "expected: lhs <- rhs ... [action]"
   in
   List.iteri
     (fun i raw ->
@@ -58,131 +159,82 @@ let parse text =
       in
       let s = String.trim s in
       if s = "" then ()
-      else if String.length s > 6 && String.sub s 0 6 = "%start" then
-        start := Some (String.trim (String.sub s 6 (String.length s - 6)))
-      else if String.length s > 6 && String.sub s 0 6 = "%class" then begin
-        match String.index_opt s '=' with
-        | None -> error line "bad %%class: missing ="
-        | Some j ->
-          let name =
-            String.trim (String.sub s 6 (j - 6))
-          in
-          let tys =
-            suffixes_of line (split_ws (String.sub s (j + 1) (String.length s - j - 1)))
-          in
-          classes := (name, tys) :: !classes
-      end
-      else begin
-        (* a production line: lhs <- rhs [action] (%over C | %pairs A B)? (; note)? *)
-        let s, note =
-          match String.index_opt s ';' with
-          | Some j ->
-            ( String.sub s 0 j,
-              String.trim (String.sub s (j + 1) (String.length s - j - 1)) )
-          | None -> (s, "")
-        in
-        let before, action_words, after = extract_bracketed line s in
-        let action = parse_action line action_words in
-        let over =
-          match split_ws after with
-          | [] -> Schema.Literal
-          | [ "%over"; c ] -> Schema.Types (class_named line c)
-          | [ "%pairs"; a; b ] ->
-            let ca = class_named line a and cb = class_named line b in
-            Schema.Pairs
-              (List.concat_map
-                 (fun x ->
-                   List.filter_map
-                     (fun y ->
-                       if Dtype.equal x y then None else Some (x, y))
-                     cb)
-                 ca)
-          | ws -> error line "unexpected trailing tokens: %s" (String.concat " " ws)
-        in
-        match split_ws before with
-        | lhs :: "<-" :: rhs when rhs <> [] ->
-          schemas := { Schema.lhs; rhs; action; note; over } :: !schemas
-        | _ -> error line "expected: lhs <- rhs ... [action]"
-      end)
-    lines;
+      else if s.[0] = '%' then directive line s
+      else production line s)
+    (String.split_on_char '\n' text);
   match !start with
   | None -> error 0 "missing %%start declaration"
-  | Some start ->
-    { start; classes = List.rev !classes; schemas = List.rev !schemas }
+  | Some (start, start_line) ->
+    {
+      start;
+      start_line;
+      classes = List.rev !classes;
+      productions = List.rev !productions;
+    }
 
-(* -- printing ----------------------------------------------------------------- *)
-
-let class_name_of classes tys =
-  List.find_map
-    (fun (name, ctys) -> if ctys = tys then Some name else None)
-    classes
-
-let print t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Fmt.str "%%start %s\n" t.start);
-  List.iter
-    (fun (name, tys) ->
-      Buffer.add_string buf
-        (Fmt.str "%%class %s = %s\n" name
-           (String.concat " " (List.map Dtype.suffix tys))))
-    t.classes;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (sch : Schema.t) ->
-      let action =
-        match sch.Schema.action with
-        | Action.Chain -> "[chain]"
-        | Action.Mode m -> Fmt.str "[mode %s]" m
-        | Action.Emit e -> Fmt.str "[emit %s]" e
-        | Action.Start -> "[chain]"
+(* the productions whose guard holds, with every class cut down to
+   [types]; a production left with no type is dropped *)
+let select ~flags ~types t =
+  let allowed ty = List.exists (Dtype.equal ty) types in
+  List.filter_map
+    (fun p ->
+      let on =
+        match p.guard with
+        | None -> true
+        | Some (name, want) -> (
+          match List.assoc_opt name flags with
+          | Some v -> v = want
+          | None -> error p.line "unknown flag %s" name)
       in
-      let over =
-        match sch.Schema.over with
-        | Schema.Literal -> ""
+      let with_over over = Some { p with schema = { p.schema with Schema.over } } in
+      if not on then None
+      else
+        match p.schema.Schema.over with
+        | Schema.Literal -> Some p
         | Schema.Types tys -> (
-          match class_name_of t.classes tys with
-          | Some name -> Fmt.str " %%over %s" name
-          | None ->
-            Fmt.str " %%over %s"
-              (String.concat "" (List.map Dtype.suffix tys)))
+          match List.filter allowed tys with
+          | [] -> None
+          | tys -> with_over (Schema.Types tys))
         | Schema.Pairs ps -> (
-          (* recover the class pair when the expansion is a full cross
-             product of two known classes *)
-          let firsts = List.sort_uniq compare (List.map fst ps) in
-          let seconds = List.sort_uniq compare (List.map snd ps) in
-          match (class_name_of t.classes firsts, class_name_of t.classes seconds) with
-          | Some a, Some b -> Fmt.str " %%pairs %s %s" a b
-          | _ -> " %pairs ? ?")
-      in
-      let note = if sch.Schema.note = "" then "" else " ; " ^ sch.Schema.note in
-      Buffer.add_string buf
-        (Fmt.str "%s <- %s %s%s%s\n" sch.Schema.lhs
-           (String.concat " " sch.Schema.rhs)
-           action over note))
-    t.schemas;
-  Buffer.contents buf
+          match List.filter (fun (a, b) -> allowed a && allowed b) ps with
+          | [] -> None
+          | ps -> with_over (Schema.Pairs ps)))
+    t.productions
 
-let to_grammar t =
-  Grammar.make_exn ~start:t.start (Schema.expand_all t.schemas)
+let schemas ~flags ~types t =
+  List.map (fun p -> p.schema) (select ~flags ~types t)
 
-let of_schemas ~start schemas =
-  (* synthesise class names for each distinct type set *)
-  let counter = ref 0 in
-  let classes = ref [] in
-  let class_for tys =
-    match class_name_of !classes tys with
-    | Some _ -> ()
-    | None ->
-      incr counter;
-      classes := !classes @ [ (Fmt.str "C%d" !counter, tys) ]
+let to_grammar ~flags ~types t =
+  let selected = select ~flags ~types t in
+  if not (List.exists (fun p -> p.schema.Schema.lhs = t.start) selected) then
+    error t.start_line "start symbol %s has no productions" t.start;
+  let specs =
+    List.concat_map
+      (fun p -> List.map (fun spec -> (p.line, spec)) (Schema.expand p.schema))
+      selected
   in
-  List.iter
-    (fun (sch : Schema.t) ->
-      match sch.Schema.over with
-      | Schema.Literal -> ()
-      | Schema.Types tys -> class_for tys
-      | Schema.Pairs ps ->
-        class_for (List.sort_uniq compare (List.map fst ps));
-        class_for (List.sort_uniq compare (List.map snd ps)))
-    schemas;
-  { start; classes = !classes; schemas }
+  match Grammar.make ~start:t.start (List.map snd specs) with
+  | Ok g -> g
+  | Error msg ->
+    (* the start symbol and every left-hand side are non-terminals
+       ([parse] checked), so [Grammar.make] found a duplicate production
+       or, failing that, an undefined non-terminal: find its line *)
+    let seen = Hashtbl.create 512 and defined = Hashtbl.create 64 in
+    List.iter (fun (_, (lhs, _, _, _)) -> Hashtbl.replace defined lhs ()) specs;
+    let duplicate (_, (lhs, rhs, _, _)) =
+      Hashtbl.mem seen (lhs, rhs) || (Hashtbl.replace seen (lhs, rhs) (); false)
+    in
+    let undefined (_, (_, rhs, _, _)) =
+      List.exists
+        (fun sym -> not (Symtab.is_terminal_name sym || Hashtbl.mem defined sym))
+        rhs
+    in
+    let line =
+      match List.find_opt duplicate specs with
+      | Some (line, _) -> line
+      | None -> (
+        match List.find_opt undefined specs with
+        | Some (line, _) -> line
+        | None -> t.start_line)
+    in
+    error line "%s" msg

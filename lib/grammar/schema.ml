@@ -13,14 +13,6 @@ type t = {
   over : over;
 }
 
-let literal ?(note = "") lhs rhs action = { lhs; rhs; action; note; over = Literal }
-
-let typed ?(note = "") types lhs rhs action =
-  { lhs; rhs; action; note; over = Types types }
-
-let pairs ?(note = "") ps lhs rhs action =
-  { lhs; rhs; action; note; over = Pairs ps }
-
 let scale_token ty =
   match Dtype.size ty with
   | 1 -> "One"

@@ -5,7 +5,8 @@ open Import
     The paper writes the VAX description as {e generic} productions and
     uses a macro preprocessor to replicate each one per machine data
     type, growing 458 generic productions to 1073 (section 6.4).  This
-    module is the structured equivalent of that preprocessor.
+    module is that preprocessor's expansion step; {!Mdg} reads the
+    schemas from a description's text.
 
     Substitution variables inside symbol names, action payloads and
     notes:
@@ -29,12 +30,6 @@ type t = {
   note : string;
   over : over;
 }
-
-val literal : ?note:string -> string -> string list -> Action.t -> t
-val typed : ?note:string -> Dtype.t list -> string -> string list -> Action.t -> t
-
-val pairs :
-  ?note:string -> (Dtype.t * Dtype.t) list -> string -> string list -> Action.t -> t
 
 (** Expand one schema to concrete production specs. *)
 val expand : t -> Grammar.spec list

@@ -1,209 +1,24 @@
 open Import
 
-(* The RISC machine description (the retargeting experiment).
+(* The RISC machine description (the retargeting experiment): the text
+   of risc.mdg, parsed anew for each grammar built, as the VAX one is.
 
-   A small load/store machine in the style of the early RISC designs:
-   three-address register-register arithmetic (with an immediate
-   allowed as the second source of the integer forms), explicit loads
-   and stores as the only memory traffic, a register-pair convention
-   for 8-byte values, and compare-and-branch as the only
-   condition-code use.  Everything else — the table constructor, the
-   matcher, the register manager, the driver — is the shared machinery
-   the VAX description drives; only this grammar, the instruction
-   table, and the semantic dispatchers are new.
-
-   Addressing is deliberately poor next to the VAX: a memory operand
-   is a symbol, a displacement off a register, a register indirect or
-   an absolute address.  There are no autoincrement, index or
-   memory-destination forms, so trees the VAX folds into one
-   instruction expand into load / operate / store sequences here. *)
-
-(* The options record is shared with the driver (it is the VAX module's
-   type); the RISC grammar honours the IR-level fields — [int_types],
-   [float_types], [reverse_ops] — and ignores the VAX-specific knobs
-   ([overfactored], [with_bridges], [condition_code_fix]). *)
+   The options record is shared with the driver (it is the VAX module's
+   type); the description's one %if flag is [reverse_ops], and
+   [int_types]/[float_types] cut its classes down.  The VAX-specific
+   knobs ([overfactored], [with_bridges], [condition_code_fix]) are
+   ignored. *)
 type options = Vax_options.options
 
 let default = Vax_options.default
 
-(* The instruction-table key base for a binary operator. *)
-let key_of_binop op =
-  match Op.unreverse op with
-  | Op.Plus -> "add"
-  | Op.Minus -> "sub"
-  | Op.Mul -> "mul"
-  | Op.Div -> "div"
-  | Op.Mod -> "rem"
-  | Op.And -> "and"
-  | Op.Or -> "or"
-  | Op.Xor -> "xor"
-  | Op.Lsh -> "sll"
-  | Op.Rsh -> "sra"
-  | Op.Udiv -> "divu"
-  | Op.Umod -> "remu"
-  | Op.Rminus | Op.Rdiv | Op.Rmod | Op.Rlsh | Op.Rrsh -> assert false
+let schemas o =
+  Mdg.schemas ~flags:(Vax_options.flags o) ~types:(Vax_options.types o)
+    (Mdg.parse Risc_mdg.text)
 
-let schemas (o : options) =
-  let all = o.Vax_options.int_types @ o.Vax_options.float_types in
-  let ints = o.Vax_options.int_types in
-  let flts = o.Vax_options.float_types in
-  let acc = ref [] in
-  let push s = acc := s :: !acc in
-  let typed ?note tys lhs rhs action =
-    push (Schema.typed ?note tys lhs rhs action)
-  in
-  let literal ?note lhs rhs action =
-    push (Schema.literal ?note lhs rhs action)
-  in
-  let pairs ?note ps lhs rhs action =
-    push (Schema.pairs ?note ps lhs rhs action)
-  in
-
-  (* ---- immediates ---- *)
-  typed ints "imm.$t" [ "Const.$t" ] (Action.Mode "imm") ~note:"immediate";
-  List.iter
-    (fun k ->
-      typed ints "imm.$t" [ k ^ ".$t" ] (Action.Mode "imm") ~note:"immediate")
-    [ "Zero"; "One"; "Two"; "Four"; "Eight" ];
-  pairs
-    [ (Dtype.Byte, Dtype.Word); (Dtype.Byte, Dtype.Long);
-      (Dtype.Word, Dtype.Long) ]
-    "imm.$t" [ "Const.$f" ] (Action.Mode "imm") ~note:"widened immediate";
-  (* a float literal exists only in a register *)
-  typed flts "reg.$t" [ "Fconst.$t" ] (Action.Emit "li.$t")
-    ~note:"float literal load";
-
-  (* ---- memory operands (the whole addressing repertoire) ---- *)
-  typed all "mem.$t" [ "Name.$t" ] (Action.Mode "name") ~note:"a";
-  typed all "mem.$t" [ "Temp.$t" ] (Action.Mode "temp") ~note:"T(fp)";
-  typed all "mem.$t" [ "Indir.$t"; "ea.$t" ] (Action.Mode "indir") ~note:"*ea";
-
-  typed all "ea.$t" [ "reg.l" ] (Action.Mode "deferred") ~note:"(rn)";
-  typed all "ea.$t" [ "Const.l" ] (Action.Mode "absolute") ~note:"n";
-  typed all "ea.$t"
-    [ "Plus.l"; "Const.l"; "reg.l" ]
-    (Action.Mode "disp") ~note:"d(rn)";
-  List.iter
-    (fun k ->
-      typed all "ea.$t"
-        [ "Plus.l"; k ^ ".l"; "reg.l" ]
-        (Action.Mode "disp") ~note:"d(rn), special-constant d")
-    [ "One"; "Two"; "Four"; "Eight" ];
-  typed all "ea.$t"
-    [ "Plus.l"; "Addr.$t"; "Name.$t"; "reg.l" ]
-    (Action.Mode "symdisp") ~note:"a(rn)";
-
-  (* ---- registers ---- *)
-  typed all "reg.$t" [ "Dreg.$t" ] (Action.Mode "dreg") ~note:"rn (no code)";
-  typed all "reg.$t" [ "rval.$t" ] (Action.Emit "ld.$t")
-    ~note:"li/ld/mv into a register";
-  (* autoincrement and autodecrement exist in the IR (register-variable
-     pointers); the RISC expands them to a load/store plus an explicit
-     pointer adjustment *)
-  typed all "reg.$t" [ "Autoinc.$t" ] (Action.Emit "ldinc.$t")
-    ~note:"ld (rn),r; add rn";
-  typed all "reg.$t" [ "Autodec.$t" ] (Action.Emit "lddec.$t")
-    ~note:"sub rn; ld (rn),r";
-
-  (* ---- value and lvalue chains ---- *)
-  typed ints "rval.$t" [ "imm.$t" ] Action.Chain;
-  typed all "rval.$t" [ "mem.$t" ] Action.Chain;
-  typed all "rval.$t" [ "reg.$t" ] Action.Chain;
-  typed all "lval.$t" [ "mem.$t" ] Action.Chain;
-  typed all "lval.$t" [ "Dreg.$t" ] (Action.Mode "dreg");
-
-  (* ---- stores (the only way memory is written) ---- *)
-  typed all "stmt" [ "Assign.$t"; "lval.$t"; "reg.$t" ]
-    (Action.Emit "st.$t") ~note:"st r,d / mv r,rd";
-  if o.Vax_options.reverse_ops then
-    typed all "stmt" [ "Rassign.$t"; "reg.$t"; "lval.$t" ]
-      (Action.Emit "st_r.$t") ~note:"st r,d (source first)";
-  typed all "stmt" [ "Assign.$t"; "Autoinc.$t"; "reg.$t" ]
-    (Action.Emit "stinc.$t") ~note:"st r,(rn); add rn";
-  typed all "stmt" [ "Assign.$t"; "Autodec.$t"; "reg.$t" ]
-    (Action.Emit "stdec.$t") ~note:"sub rn; st r,(rn)";
-  if o.Vax_options.reverse_ops then begin
-    typed all "stmt" [ "Rassign.$t"; "reg.$t"; "Autoinc.$t" ]
-      (Action.Emit "stinc.$t") ~note:"st r,(rn); add rn (source first)";
-    typed all "stmt" [ "Rassign.$t"; "reg.$t"; "Autodec.$t" ]
-      (Action.Emit "stdec.$t") ~note:"sub rn; st r,(rn) (source first)"
-  end;
-
-  (* ---- three-address arithmetic, registers only ---- *)
-  let emit_binop_schemas ~with_imm ty_class binops =
-    List.iter
-      (fun op ->
-        let op_t = Op.binop_name op ^ ".$t" in
-        let key = Action.Emit (key_of_binop op ^ ".$t") in
-        if Op.is_reverse op then begin
-          if o.Vax_options.reverse_ops then
-            typed ty_class "reg.$t" [ op_t; "reg.$t"; "reg.$t" ] key
-              ~note:"reverse operand order"
-        end
-        else begin
-          typed ty_class "reg.$t" [ op_t; "reg.$t"; "reg.$t" ] key
-            ~note:"three-address, register sources";
-          if with_imm then
-            typed ty_class "reg.$t" [ op_t; "reg.$t"; "imm.$t" ] key
-              ~note:"immediate second source"
-        end)
-      binops
-  in
-  let int_common =
-    [ Op.Plus; Op.Minus; Op.Mul; Op.Div; Op.Mod; Op.And; Op.Or; Op.Xor ]
-    @ if o.Vax_options.reverse_ops then [ Op.Rminus; Op.Rdiv; Op.Rmod ]
-      else []
-  in
-  emit_binop_schemas ~with_imm:true ints int_common;
-  let long_only =
-    [ Op.Lsh; Op.Rsh; Op.Udiv; Op.Umod ]
-    @ if o.Vax_options.reverse_ops then [ Op.Rlsh; Op.Rrsh ] else []
-  in
-  emit_binop_schemas ~with_imm:true [ Dtype.Long ] long_only;
-  emit_binop_schemas ~with_imm:false flts
-    ([ Op.Plus; Op.Minus; Op.Mul; Op.Div ]
-    @ if o.Vax_options.reverse_ops then [ Op.Rminus; Op.Rdiv ] else []);
-
-  (* ---- unary operators ---- *)
-  typed all "reg.$t" [ "Neg.$t"; "reg.$t" ] (Action.Emit "neg.$t")
-    ~note:"neg s,r";
-  typed ints "reg.$t" [ "Com.$t"; "reg.$t" ] (Action.Emit "not.$t")
-    ~note:"not s,r";
-
-  (* ---- conversions ---- *)
-  let pairs_list =
-    List.concat_map
-      (fun from ->
-        List.filter_map
-          (fun to_ -> if Dtype.equal from to_ then None else Some (from, to_))
-          all)
-      all
-  in
-  pairs pairs_list "reg.$t" [ "Cvt.$f$t"; "reg.$f" ]
-    (Action.Emit "cvt.$f$t") ~note:"cvt s,r";
-
-  (* ---- compare and branch ---- *)
-  typed all "stmt" [ "Cbranch"; "Cmp.$t"; "reg.$t"; "reg.$t"; "Label" ]
-    (Action.Emit "cmpbr.$t") ~note:"cmp a,b; bCC L";
-  typed ints "stmt" [ "Cbranch"; "Cmp.$t"; "reg.$t"; "imm.$t"; "Label" ]
-    (Action.Emit "cmpbr.$t") ~note:"cmp a,k; bCC L";
-
-  (* ---- argument pushes and address-of ---- *)
-  literal "stmt" [ "Arg.l"; "reg.l" ] (Action.Emit "push.l")
-    ~note:"sub sp; st r,(sp)";
-  if List.mem Dtype.Dbl flts then
-    literal "stmt" [ "Arg.d"; "reg.d" ] (Action.Emit "push.d")
-      ~note:"sub sp; std r,(sp)";
-  typed all "reg.l" [ "Addr.$t"; "Name.$t" ] (Action.Emit "la.$t")
-    ~note:"la a,r";
-  typed all "reg.l" [ "Addr.$t"; "Temp.$t" ] (Action.Emit "la.$t")
-    ~note:"la T(fp),r";
-  typed all "reg.l" [ "Addr.$t"; "Indir.$t"; "ea.$t" ]
-    (Action.Emit "la.$t") ~note:"la ea,r";
-
-  List.rev !acc
-
-let grammar o = Grammar.make_exn ~start:"stmt" (Schema.expand_all (schemas o))
+let grammar o =
+  Mdg.to_grammar ~flags:(Vax_options.flags o) ~types:(Vax_options.types o)
+    (Mdg.parse Risc_mdg.text)
 
 let default_grammar = lazy (grammar default)
 

@@ -9,8 +9,7 @@ module Insn = Gg_ir.Insn
 module Treelang = Gg_ir.Treelang
 module Grammar = Gg_grammar.Grammar
 module Symtab = Gg_grammar.Symtab
-module Schema = Gg_grammar.Schema
-module Action = Gg_grammar.Action
+module Mdg = Gg_grammar.Mdg
 module Matcher = Gg_matcher.Matcher
 module Desc = Gg_codegen.Desc
 module Frame = Gg_codegen.Frame

@@ -36,236 +36,26 @@ let cluster_of_binop op =
   | Op.Umod -> "umod"
   | Op.Rminus | Op.Rdiv | Op.Rmod | Op.Rlsh | Op.Rrsh -> assert false
 
+(* The grammar is the text of vax.mdg; its %if guards name the
+   options' flags and its classes are cut down to the options' types.
+   The text is parsed anew for each grammar built: parsing costs a
+   fraction of the build, and no parsed copy stays live. *)
+
+let flags o =
+  [
+    ("reverse_ops", o.reverse_ops);
+    ("overfactored", o.overfactored);
+    ("with_bridges", o.with_bridges);
+    ("condition_code_fix", o.condition_code_fix);
+  ]
+
+let types o = o.int_types @ o.float_types
+
 let schemas o =
-  let all = o.int_types @ o.float_types in
-  let ints = o.int_types in
-  let flts = o.float_types in
-  let acc = ref [] in
-  let push s = acc := s :: !acc in
-  let typed ?note tys lhs rhs action = push (Schema.typed ?note tys lhs rhs action) in
-  let literal ?note lhs rhs action = push (Schema.literal ?note lhs rhs action) in
-  let pairs ?note ps lhs rhs action = push (Schema.pairs ?note ps lhs rhs action) in
+  Mdg.schemas ~flags:(flags o) ~types:(types o) (Mdg.parse Vax_mdg.text)
 
-  (* ---- operand encapsulation (addressing-mode leaves) ---- *)
-  typed ints "imm.$t" [ "Const.$t" ] (Action.Mode "imm") ~note:"immediate";
-  (* the special constants double as ordinary immediates (bridge
-     productions for section 6.3's syntax-for-semantics tokens) *)
-  List.iter
-    (fun k -> typed ints "imm.$t" [ k ^ ".$t" ] (Action.Mode "imm") ~note:"immediate")
-    [ "Zero"; "One"; "Two"; "Four"; "Eight" ];
-  (* a narrow constant is usable directly as a wider immediate (the
-     paper's Appendix relies on this: Const.b 27 under a long add) *)
-  pairs
-    [ (Dtype.Byte, Dtype.Word); (Dtype.Byte, Dtype.Long);
-      (Dtype.Word, Dtype.Long) ]
-    "imm.$t" [ "Const.$f" ] (Action.Mode "imm") ~note:"widened immediate";
-  typed flts "rval.$t" [ "Fconst.$t" ] (Action.Mode "fimm") ~note:"float literal";
-  typed all "mem.$t" [ "Name.$t" ] (Action.Mode "name") ~note:"a";
-  typed all "mem.$t" [ "Temp.$t" ] (Action.Mode "temp") ~note:"T(fp)";
-  typed all "mem.$t" [ "Autoinc.$t" ] (Action.Mode "autoinc") ~note:"(rn)+";
-  typed all "mem.$t" [ "Autodec.$t" ] (Action.Mode "autodec") ~note:"-(rn)";
-  typed all "mem.$t" [ "Indir.$t"; "ea.$t" ] (Action.Mode "indir") ~note:"*ea";
-  typed all "reg.$t" [ "Dreg.$t" ] (Action.Mode "dreg") ~note:"rn (no code)";
-
-  (* ---- effective addresses ---- *)
-  typed all "ea.$t" [ "reg.l" ] (Action.Mode "deferred") ~note:"(rn)";
-  typed all "ea.$t" [ "Const.l" ] (Action.Mode "absolute") ~note:"n";
-  typed all "ea.$t"
-    [ "Plus.l"; "Const.l"; "reg.l" ]
-    (Action.Mode "disp") ~note:"d(rn)";
-  List.iter
-    (fun k ->
-      typed all "ea.$t"
-        [ "Plus.l"; k ^ ".l"; "reg.l" ]
-        (Action.Mode "disp") ~note:"d(rn), special-constant d")
-    [ "One"; "Two"; "Four"; "Eight" ];
-  typed all "ea.$t"
-    [ "Plus.l"; "Addr.$t"; "Name.$t"; "reg.l" ]
-    (Action.Mode "symdisp") ~note:"a(rn)";
-  typed all "ea.$t"
-    [ "Plus.l"; "reg.l"; "Mul.l"; "$c.l"; "reg.l" ]
-    (Action.Mode "index") ~note:"(rn)[rx]";
-  typed all "ea.$t"
-    [ "Plus.l"; "Const.l"; "Plus.l"; "reg.l"; "Mul.l"; "$c.l"; "reg.l" ]
-    (Action.Mode "dispindex") ~note:"d(rn)[rx]";
-  (* displacements that happen to be 1/2/4/8 arrive as special-constant
-     tokens (section 6.3), so the indexed patterns need variants *)
-  List.iter
-    (fun k ->
-      typed all "ea.$t"
-        [ "Plus.l"; k ^ ".l"; "Plus.l"; "reg.l"; "Mul.l"; "$c.l"; "reg.l" ]
-        (Action.Mode "dispindex") ~note:"d(rn)[rx], special-constant d")
-    [ "One"; "Two"; "Four"; "Eight" ];
-  typed all "ea.$t"
-    [ "Plus.l"; "Addr.$t"; "Name.$t"; "Mul.l"; "$c.l"; "reg.l" ]
-    (Action.Mode "symindex") ~note:"a[rx]";
-  (* byte indexing needs no scale multiply *)
-  literal "ea.b" [ "Plus.l"; "reg.l"; "reg.l" ] (Action.Mode "index")
-    ~note:"(rn)[rx], byte";
-  literal "ea.b"
-    [ "Plus.l"; "Const.l"; "Plus.l"; "reg.l"; "reg.l" ]
-    (Action.Mode "dispindex") ~note:"d(rn)[rx], byte";
-  (* a byte a[rx] is the same shape as the symdisp production above, so
-     it needs no production of its own *)
-
-  (* ---- bridge productions (sections 6.2.2, 6.3) ---- *)
-  if o.with_bridges then begin
-    typed all "ea.$t"
-      [ "Plus.l"; "reg.l"; "Mul.l"; "rval.l"; "rval.l" ]
-      (Action.Emit "bridge_ixmul")
-      ~note:"mul into a register, then (rsum)";
-    typed all "ea.$t"
-      [ "Plus.l"; "Const.l"; "Plus.l"; "reg.l"; "Mul.l"; "rval.l"; "rval.l" ]
-      (Action.Emit "bridge_dxmul")
-      ~note:"mul into a register, then d(rsum)";
-    List.iter
-      (fun k ->
-        typed all "ea.$t"
-          [ "Plus.l"; k ^ ".l"; "Plus.l"; "reg.l"; "Mul.l"; "rval.l";
-            "rval.l" ]
-          (Action.Emit "bridge_dxmul")
-          ~note:"mul into a register, then d(rsum); special-constant d")
-      [ "One"; "Two"; "Four"; "Eight" ];
-    typed all "ea.$t"
-      [ "Plus.l"; "Addr.$t"; "Name.$t"; "Mul.l"; "rval.l"; "rval.l" ]
-      (Action.Emit "bridge_symmul")
-      ~note:"mul into a register, then a(rt)"
-  end;
-
-  (* ---- binary operator instructions ---- *)
-  let emit_binop_schemas ty_class binops =
-    List.iter
-      (fun op ->
-        let op_t = Op.binop_name op ^ ".$t" in
-        let key = Action.Emit (cluster_of_binop op ^ ".$t") in
-        if Op.is_reverse op then begin
-          if o.reverse_ops then begin
-            typed ty_class "reg.$t" [ op_t; "rval.$t"; "rval.$t" ] key
-              ~note:"reverse operand order";
-            typed ty_class "stmt"
-              [ "Rassign.$t"; op_t; "rval.$t"; "rval.$t"; "lval.$t" ]
-              key ~note:"reverse, memory destination";
-            typed ty_class "stmt"
-              [ "Assign.$t"; "lval.$t"; op_t; "rval.$t"; "rval.$t" ]
-              key ~note:"reverse source, plain destination"
-          end
-        end
-        else begin
-          typed ty_class "reg.$t" [ op_t; "rval.$t"; "rval.$t" ] key
-            ~note:"three-address, register destination";
-          typed ty_class "stmt"
-            [ "Assign.$t"; "lval.$t"; op_t; "rval.$t"; "rval.$t" ]
-            key ~note:"three-address, memory destination"
-        end)
-      binops
-  in
-  (* operators available at every integer type *)
-  let int_common =
-    [ Op.Plus; Op.Minus; Op.Mul; Op.Div; Op.Mod; Op.And; Op.Or; Op.Xor ]
-    @ if o.reverse_ops then [ Op.Rminus; Op.Rdiv; Op.Rmod ] else []
-  in
-  let int_common =
-    if o.overfactored then
-      (* the over-factoring ablation moves Plus/Mul/Or/Xor into the
-         binop class below *)
-      List.filter
-        (fun op -> not (List.mem op [ Op.Plus; Op.Mul; Op.Or; Op.Xor ]))
-        int_common
-    else int_common
-  in
-  emit_binop_schemas ints int_common;
-  (* long-only operators (PCC promotes shift/unsigned operands) *)
-  let long_only =
-    [ Op.Lsh; Op.Rsh; Op.Udiv; Op.Umod ]
-    @ if o.reverse_ops then [ Op.Rlsh; Op.Rrsh ] else []
-  in
-  emit_binop_schemas [ Dtype.Long ] long_only;
-  emit_binop_schemas flts
-    ([ Op.Plus; Op.Minus; Op.Mul; Op.Div ]
-    @ if o.reverse_ops then [ Op.Rminus; Op.Rdiv ] else []);
-
-  if o.overfactored then begin
-    (* section 6.2.1: an operator-class non-terminal covering the
-       commutative operators — including, wrongly, Plus and Mul, which
-       also occur as secondary operators inside addressing modes *)
-    List.iter
-      (fun op ->
-        typed ints ("binop.$t")
-          [ Op.binop_name op ^ ".$t" ]
-          Action.Chain ~note:"operator class")
-      [ Op.Plus; Op.Mul; Op.Or; Op.Xor ];
-    typed ints "reg.$t" [ "binop.$t"; "rval.$t"; "rval.$t" ]
-      (Action.Emit "class.$t") ~note:"over-factored operator class";
-    typed ints "stmt"
-      [ "Assign.$t"; "lval.$t"; "binop.$t"; "rval.$t"; "rval.$t" ]
-      (Action.Emit "class.$t") ~note:"over-factored operator class"
-  end;
-
-  (* ---- unary operator instructions ---- *)
-  typed all "reg.$t" [ "Neg.$t"; "rval.$t" ] (Action.Emit "neg.$t")
-    ~note:"mneg s,r";
-  typed all "stmt" [ "Assign.$t"; "lval.$t"; "Neg.$t"; "rval.$t" ]
-    (Action.Emit "neg.$t") ~note:"mneg s,d";
-  typed ints "reg.$t" [ "Com.$t"; "rval.$t" ] (Action.Emit "com.$t")
-    ~note:"mcom s,r";
-  typed ints "stmt" [ "Assign.$t"; "lval.$t"; "Com.$t"; "rval.$t" ]
-    (Action.Emit "com.$t") ~note:"mcom s,d";
-
-  (* ---- moves, loads, chains ---- *)
-  typed all "stmt" [ "Assign.$t"; "lval.$t"; "rval.$t" ]
-    (Action.Emit "mov.$t") ~note:"mov s,d";
-  if o.reverse_ops then
-    typed all "stmt" [ "Rassign.$t"; "rval.$t"; "lval.$t" ]
-      (Action.Emit "mov_r.$t") ~note:"mov s,d (source first)";
-  typed all "reg.$t" [ "rval.$t" ] (Action.Emit "mov.$t") ~note:"load";
-  typed ints "rval.$t" [ "imm.$t" ] Action.Chain;
-  typed all "rval.$t" [ "mem.$t" ] Action.Chain;
-  typed all "rval.$t" [ "reg.$t" ] Action.Chain;
-  typed all "lval.$t" [ "mem.$t" ] Action.Chain;
-  typed all "lval.$t" [ "Dreg.$t" ] (Action.Mode "dreg");
-
-  (* ---- conversions (the cross-product sub-grammar of section 6.4) ---- *)
-  let pairs_list =
-    List.concat_map
-      (fun from ->
-        List.filter_map
-          (fun to_ -> if Dtype.equal from to_ then None else Some (from, to_))
-          all)
-      all
-  in
-  pairs pairs_list "reg.$t" [ "Cvt.$f$t"; "rval.$f" ]
-    (Action.Emit "cvt.$f$t") ~note:"cvt s,r";
-  pairs pairs_list "stmt" [ "Assign.$t"; "lval.$t"; "Cvt.$f$t"; "rval.$f" ]
-    (Action.Emit "cvt.$f$t") ~note:"cvt s,d";
-
-  (* ---- comparison and branch (section 6.1's condition-code story) ---- *)
-  typed all "stmt" [ "Cbranch"; "Cmp.$t"; "rval.$t"; "rval.$t"; "Label" ]
-    (Action.Emit "cmpbr.$t") ~note:"cmp a,b; jCC L";
-  typed ints "stmt" [ "Cbranch"; "Cmp.$t"; "rval.$t"; "Zero.$t"; "Label" ]
-    (Action.Emit "tstbr.$t") ~note:"tst a; jCC L";
-  typed ints "stmt" [ "Cbranch"; "Cmp.$t"; "reg.$t"; "Zero.$t"; "Label" ]
-    (Action.Emit "ccbr.$t")
-    ~note:"jCC L (condition codes set by the reg computation)";
-  if o.condition_code_fix then
-    typed ints "stmt" [ "Cbranch"; "Cmp.$t"; "Dreg.$t"; "Zero.$t"; "Label" ]
-      (Action.Emit "tstbr_reg.$t")
-      ~note:"tst rn; jCC L (chain reg <- Dreg emits no code)";
-
-  (* ---- argument pushes and address-of ---- *)
-  literal "stmt" [ "Arg.l"; "rval.l" ] (Action.Emit "push.l") ~note:"pushl s";
-  if List.mem Dtype.Dbl flts then
-    literal "stmt" [ "Arg.d"; "rval.d" ] (Action.Emit "push.d")
-      ~note:"movd s,-(sp)";
-  typed all "reg.l" [ "Addr.$t"; "Name.$t" ] (Action.Emit "mova.$t")
-    ~note:"mova a,r";
-  typed all "reg.l" [ "Addr.$t"; "Temp.$t" ] (Action.Emit "mova.$t")
-    ~note:"mova T(fp),r";
-  typed all "reg.l" [ "Addr.$t"; "Indir.$t"; "ea.$t" ]
-    (Action.Emit "mova.$t") ~note:"mova ea,r";
-
-  List.rev !acc
-
-let grammar o = Grammar.make_exn ~start:"stmt" (Schema.expand_all (schemas o))
+let grammar o =
+  Mdg.to_grammar ~flags:(flags o) ~types:(types o) (Mdg.parse Vax_mdg.text)
 
 let default_grammar = lazy (grammar default)
 

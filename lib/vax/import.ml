@@ -10,4 +10,4 @@ module Insn = Gg_ir.Insn
 module Treelang = Gg_ir.Treelang
 module Grammar = Gg_grammar.Grammar
 module Schema = Gg_grammar.Schema
-module Action = Gg_grammar.Action
+module Mdg = Gg_grammar.Mdg

@@ -109,13 +109,19 @@ let test_scale_tokens () =
   check_str "long" "Four" (Schema.scale_token Dtype.Long);
   check_str "dbl" "Eight" (Schema.scale_token Dtype.Dbl)
 
+(* the schemas of a one-production description *)
+let schema_of src =
+  match
+    Mdg.schemas ~flags:[] ~types:Dtype.all (Mdg.parse ("%start s\n" ^ src))
+  with
+  | [ sch ] -> sch
+  | schs -> Alcotest.failf "%d schemas, not one" (List.length schs)
+
 let test_typed_expansion () =
   let sch =
-    Schema.typed
-      [ Dtype.Byte; Dtype.Word; Dtype.Long ]
-      "reg.$t"
-      [ "Plus.$t"; "rval.$t"; "rval.$t" ]
-      (Action.Emit "add.$t")
+    schema_of
+      "%class I = b w l\n\
+       reg.$t <- Plus.$t rval.$t rval.$t [emit add.$t] %over I\n"
   in
   let specs = Schema.expand sch in
   check_int "three copies" 3 (List.length specs);
@@ -130,9 +136,9 @@ let test_typed_expansion () =
 
 let test_pairs_expansion () =
   let sch =
-    Schema.pairs
-      [ (Dtype.Byte, Dtype.Long); (Dtype.Word, Dtype.Long) ]
-      "reg.$t" [ "Cvt.$f$t"; "rval.$f" ] (Action.Emit "cvt.$f$t")
+    schema_of
+      "%class F = b w\n%class T = l\n\
+       reg.$t <- Cvt.$f$t rval.$f [emit cvt.$f$t] %pairs F T\n"
   in
   match Schema.expand sch with
   | [ (l1, r1, _, _); (l2, r2, _, _) ] ->
@@ -144,9 +150,9 @@ let test_pairs_expansion () =
 
 let test_scale_substitution_in_rhs () =
   let sch =
-    Schema.typed [ Dtype.Long ] "dx.$t"
-      [ "Plus.l"; "Const.l"; "reg.l"; "Mul.l"; "$c.l"; "reg.l" ]
-      (Action.Mode "dx")
+    schema_of
+      "%class L = l\n\
+       dx.$t <- Plus.l Const.l reg.l Mul.l $c.l reg.l [mode dx] %over L\n"
   in
   match Schema.expand sch with
   | [ (_, rhs, _, _) ] ->
@@ -244,46 +250,106 @@ let test_mdg_parse () =
   let mdg = Mdg.parse sample_mdg in
   check_str "start" "stmt" mdg.Mdg.start;
   check_int "one class" 1 (List.length mdg.Mdg.classes);
-  check_int "schemas" 7 (List.length mdg.Mdg.schemas);
-  let g = Mdg.to_grammar mdg in
+  check_int "schemas" 7 (List.length mdg.Mdg.productions);
+  let g = Mdg.to_grammar ~flags:[] ~types:Dtype.all mdg in
   (* 3 imm + 3 rval-chain + 3 add + 6 cvt pairs + 3 reg-chain + 2 literals *)
-  check_int "expanded productions" 20 (Grammar.stats g).Grammar.productions
+  check_int "expanded productions" 20 (Grammar.stats g).Grammar.productions;
+  (* cutting the class to one type drops the conversions (no pair of
+     distinct types is left) but keeps the literals *)
+  let g = Mdg.to_grammar ~flags:[] ~types:[ Dtype.Long ] mdg in
+  check_int "long-only productions" 6 (Grammar.stats g).Grammar.productions
 
+(* every malformed description is an [Mdg_error] at the line at fault,
+   whether [parse] or [to_grammar] finds it *)
 let test_mdg_errors () =
   let expect_line n src =
-    match Mdg.parse src with
-    | exception Mdg.Mdg_error (l, _) -> check_int "error line" n l
-    | _ -> Alcotest.fail "bad description accepted"
+    match
+      Mdg.to_grammar ~flags:[ ("on", true) ] ~types:Dtype.all (Mdg.parse src)
+    with
+    | exception Mdg.Mdg_error (l, _) ->
+      check_int (Fmt.str "error line of %S" src) n l
+    | _ -> Alcotest.failf "bad description accepted: %S" src
   in
-  expect_line 0 "x <- Y [chain]
-";
   (* missing %start *)
-  expect_line 2 "%start s
-s <- X
-";
+  expect_line 0 "x <- Y [chain]\n";
   (* missing action *)
-  expect_line 2 "%start s
-s <- X [emit e] %over NOPE
-"
+  expect_line 2 "%start s\ns <- X\n";
+  (* unknown class *)
+  expect_line 2 "%start s\ns <- X [emit e] %over NOPE\n";
+  (* a variable no %over binds *)
+  expect_line 2 "%start stmt\nstmt <- Name.$t [emit x.$t]\n";
+  (* $f is bound by %pairs only *)
+  expect_line 3 "%start s\n%class I = b l\ns <- Cvt.$f$t [chain] %over I\n";
+  (* an undefined non-terminal *)
+  expect_line 2 "%start stmt\nstmt <- Assign.l lval.l Const.l [emit mov.l]\n";
+  (* a duplicate class name *)
+  expect_line 3 "%start s\n%class I = b\n%class I = l\ns <- X [chain]\n";
+  (* a directive run into its argument *)
+  expect_line 1 "%startstmt\nstmt <- X [chain]\n";
+  (* a bare %start, a second one, a terminal one *)
+  expect_line 1 "%start\nstmt <- X [chain]\n";
+  expect_line 2 "%start s\n%start t\ns <- X [chain]\n";
+  expect_line 1 "%start S\ns <- X [chain]\n";
+  (* a start symbol with no productions, in the text or under its flags *)
+  expect_line 1 "%start s\nt <- X [chain]\n";
+  expect_line 1 "%start s\ns <- X [chain] %if !on\n";
+  (* a flag the caller does not define *)
+  expect_line 2 "%start s\ns <- X [chain] %if nope\n";
+  (* a duplicate production *)
+  expect_line 3 "%start s\ns <- X [chain]\ns <- X [emit e]\n";
+  (* a terminal left-hand side *)
+  expect_line 2 "%start s\nS <- X [chain]\ns <- X [chain]\n"
 
-let test_mdg_roundtrip_vax () =
-  (* print the full VAX description and re-parse it: the grammars must
-     be identical production for production *)
-  let schemas = Gg_vax.Grammar_def.schemas Gg_vax.Grammar_def.default in
-  let printed = Mdg.print (Mdg.of_schemas ~start:"stmt" schemas) in
-  let reparsed = Mdg.to_grammar (Mdg.parse printed) in
-  let original = Gg_vax.Grammar_def.grammar Gg_vax.Grammar_def.default in
-  check_int "same production count"
-    (Grammar.n_productions original)
-    (Grammar.n_productions reparsed);
-  for i = 0 to Grammar.n_productions original - 1 do
-    let po = Grammar.production original i in
-    let pr = Grammar.production reparsed i in
-    check_str
-      (Fmt.str "production %d" i)
-      (Fmt.str "%a" (Grammar.pp_production original) po)
-      (Fmt.str "%a" (Grammar.pp_production reparsed) pr)
-  done
+(* Every option combination in use builds a pinned grammar, by
+   production count and [Grammar.digest]: the 16 VAX flag settings and
+   RISC with and without reverse operators.  Production order fixes
+   state numbering and the grammar-order tie-break, so an edit to a
+   .mdg file that moves a digest must be deliberate. *)
+let test_mdg_digests_pinned () =
+  let module V = Gg_vax.Grammar_def in
+  let check name g n digest =
+    check_int (name ^ ": productions") n (Grammar.n_productions g);
+    check_str (name ^ ": digest") digest (Grammar.digest g)
+  in
+  List.iter
+    (fun (reverse_ops, overfactored, with_bridges, condition_code_fix, n, digest) ->
+      check
+        (Fmt.str "vax r=%b o=%b b=%b c=%b" reverse_ops overfactored
+           with_bridges condition_code_fix)
+        (V.grammar
+           { V.default with V.reverse_ops; overfactored; with_bridges; condition_code_fix })
+        n digest)
+    [
+      (true, false, true, true, 407, "69e3cbb5ff437ee4564bceb87ab24a37");
+      (true, false, true, false, 404, "11bdcccb16b3108df697dc42ee158d48");
+      (true, false, false, true, 372, "2a415c6a08b423f3ae92607b3e571ee1");
+      (true, false, false, false, 369, "072a14c28acd35ca0f239f87ab7de8b5");
+      (true, true, true, true, 401, "2f6191c44667fe617b29ac2628b6bc5e");
+      (true, true, true, false, 398, "5a44e2a2c2354b6fc550e4a2325a19f7");
+      (true, true, false, true, 366, "ed05ac7a12d2a34b599b6f5c4ca871e5");
+      (true, true, false, false, 363, "f579fd2ae8fda99462d7350bf6172d1d");
+      (false, false, true, true, 357, "b459c58201422d35e264c0514959c377");
+      (false, false, true, false, 354, "c94f24599146c982d282ef503fb4bac3");
+      (false, false, false, true, 322, "3495d5e780ea5174852cf0e2e124ca5e");
+      (false, false, false, false, 319, "df4ea3196195f692a26dbb34f97b8efe");
+      (false, true, true, true, 351, "f4d759150b0470c0fb08ce4302f0e248");
+      (false, true, true, false, 348, "e7e22d001da12e991553e348d939ff70");
+      (false, true, false, true, 316, "75f7ef2c9ac659eb1845db0826371803");
+      (false, true, false, false, 313, "93c49ff0415ec1d4eb3f064f3145a7f5");
+    ];
+  List.iter
+    (fun (reverse_ops, n, digest) ->
+      check
+        (Fmt.str "risc r=%b" reverse_ops)
+        (Gg_risc.Grammar_def.grammar { V.default with V.reverse_ops })
+        n digest)
+    [
+      (true, 283, "cf511208be602b329d71812bba5082c1");
+      (false, 253, "426ad54feed681b7cc4c61b1eeee1079");
+    ];
+  check_int "vax generic schemas" 114 (List.length (V.schemas V.default));
+  check_int "risc generic schemas" 79
+    (List.length (Gg_risc.Grammar_def.schemas V.default))
 
 let suite =
   [
@@ -311,5 +377,5 @@ let suite =
     Alcotest.test_case "mdg parse" `Quick test_mdg_parse;
     Alcotest.test_case "mdg errors" `Quick test_mdg_errors;
     Alcotest.test_case "mdg roundtrip of the VAX description" `Quick
-      test_mdg_roundtrip_vax;
+      test_mdg_digests_pinned;
   ]

@@ -194,6 +194,28 @@ let test_reverse_ops_growth () =
   let s_without = (Tables.stats (Tables.build without_r)).Tables.states in
   check_bool "tables grow" true (s_with > s_without)
 
+(* T-TBLC's subset: with only longs allowed, every class of the
+   description is cut down to [l], so no symbol of another type is left
+   (the widened immediates and the byte-index modes included) *)
+let test_long_only_subset () =
+  let g =
+    Grammar_def.grammar
+      { Grammar_def.default with Grammar_def.int_types = [ Dtype.Long ]; float_types = [] }
+  in
+  let st = g.Gg_grammar.Grammar.symtab in
+  let names =
+    List.init (Gg_grammar.Symtab.n_terms st) (Gg_grammar.Symtab.term_name st)
+    @ List.init (Gg_grammar.Symtab.n_nonterms st) (Gg_grammar.Symtab.nonterm_name st)
+  in
+  let other_type name =
+    List.exists
+      (fun sfx -> Filename.check_suffix name ("." ^ sfx))
+      [ "b"; "w"; "f"; "d" ]
+  in
+  Alcotest.(check (list string)) "symbols of another type" []
+    (List.filter other_type names);
+  check_int "productions" 93 (Gg_grammar.Grammar.n_productions g)
+
 let test_overfactored_variant_builds () =
   let o = { Grammar_def.default with Grammar_def.overfactored = true } in
   let t = Tables.build (Grammar_def.grammar o) in
@@ -251,6 +273,8 @@ let suite =
     Alcotest.test_case "blocks without bridges" `Quick
       test_blocks_without_bridges;
     Alcotest.test_case "reverse-ops growth" `Quick test_reverse_ops_growth;
+    Alcotest.test_case "long-only subset has only long symbols" `Quick
+      test_long_only_subset;
     Alcotest.test_case "overfactored variant builds" `Quick
       test_overfactored_variant_builds;
     Alcotest.test_case "treelang arities" `Quick test_treelang_arities;
